@@ -14,12 +14,14 @@ use advsgm::attack::{
 use advsgm::eval::auc_from_scores;
 use advsgm::graph::io::read_edge_list_file;
 use advsgm::graph::partition::link_prediction_split;
-use advsgm::graph::Graph;
+use advsgm::graph::{Edge, Graph, NodeId};
 use advsgm::store::EmbeddingStore;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::common::{deadline, err, median, peak_rss_mb, tail, BenchResult, Outcome, RunArgs};
+use crate::common::{
+    deadline, err, mean, peak_rss_mb, tail, BenchResult, Outcome, RunArgs, SetupTimes,
+};
 use crate::replay::replay_training;
 use crate::train::{expected_epsilon, same_epsilon};
 
@@ -27,8 +29,11 @@ use crate::train::{expected_epsilon, same_epsilon};
 const EDGES: &str = "data/audit_sbm60.edges";
 /// Fan-out width over paired runs (each run trains on one thread).
 const THREADS: usize = 2;
-const SETUP_REPS: usize = 21;
-const SETUP_BLOCK: usize = 10;
+/// Set-ups per timed block (one takes about 0.1 ms), and the timed blocks
+/// run before the first audit and after each audit; `setup_s` is their
+/// mean.
+const SETUP_BLOCK: usize = 40;
+const SETUP_BLOCKS: usize = 25;
 
 /// The committed audit settings: epochs 75, lr 0.2, dim 16, AdvSGM
 /// defaults otherwise (`docs/BENCHMARKS.md`).
@@ -51,22 +56,37 @@ fn audit_config(seed: u64) -> AuditConfig {
 #[derive(Default)]
 struct Trials {
     release_ms: Vec<f64>,
-    /// Held-out link AUC of each release on the panel split.
+    /// Reconstruction AUC of each release on the audit graph.
     auc: Vec<f64>,
     failed: u64,
 }
 
-/// The held-out pairs of the panel split, which `run_audit` draws from the
-/// same seed: quality is scored on them.
-struct Heldout {
-    pos: Vec<advsgm::graph::Edge>,
-    neg: Vec<advsgm::graph::Edge>,
+/// The pairs quality is scored on: every edge of the audit graph against
+/// every non-edge. The panel split holds out only about 20 edges of the
+/// 200, too few for an AUC that repeats across seeds (it spread 0.17
+/// over five); the whole graph gives 200 against about 1570.
+struct Scored {
+    pos: Vec<Edge>,
+    neg: Vec<Edge>,
 }
 
-impl Heldout {
+impl Scored {
+    fn of(graph: &Graph) -> Self {
+        let n = graph.num_nodes() as u32;
+        let neg = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (NodeId(a), NodeId(b))))
+            .filter(|&(a, b)| !graph.has_edge(a, b))
+            .map(|(a, b)| Edge::new(a, b))
+            .collect();
+        Scored {
+            pos: graph.edges().to_vec(),
+            neg,
+        }
+    }
+
     fn auc(&self, bytes: &[u8]) -> Option<f64> {
         let store = EmbeddingStore::from_bytes(bytes).ok()?;
-        let score = |edges: &[advsgm::graph::Edge]| -> Option<Vec<f64>> {
+        let score = |edges: &[Edge]| -> Option<Vec<f64>> {
             edges
                 .iter()
                 .map(|e| store.score(e.u().index(), e.v().index()).ok())
@@ -83,7 +103,7 @@ fn audit_condition(
     graph: &Graph,
     builder: &PipelineBuilder,
     cfg: &AuditConfig,
-    heldout: &Heldout,
+    scored: &Scored,
     trials: &Mutex<Trials>,
 ) -> Result<AuditOutcome, AttackError> {
     run_audit(graph, cfg, |g: &Graph, seed: u64| {
@@ -96,7 +116,7 @@ fn audit_condition(
             .and_then(|p| p.train())
             .map(|trained| trained.release_bytes());
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        let auc = released.as_ref().ok().and_then(|bytes| heldout.auc(bytes));
+        let auc = released.as_ref().ok().and_then(|bytes| scored.auc(bytes));
         let mut log = trials.lock().expect("trial log poisoned");
         log.release_ms.push(ms);
         log.auc.extend(auc);
@@ -136,13 +156,13 @@ fn audit_once(
     graph: &Graph,
     b: &PipelineBuilder,
     cfg: &AuditConfig,
-    heldout: &Heldout,
+    scored: &Scored,
     trials: &Mutex<Trials>,
 ) -> BenchResult<Audit> {
     let t = Instant::now();
-    let outcome = audit_condition(graph, b, cfg, heldout, trials).map_err(err("audit"))?;
+    let outcome = audit_condition(graph, b, cfg, scored, trials).map_err(err("audit"))?;
     let no_dp = b.clone().variant(ModelVariant::AdvSgmNoDp);
-    let ablation = audit_condition(graph, &no_dp, cfg, heldout, trials).map_err(err("ablation"))?;
+    let ablation = audit_condition(graph, &no_dp, cfg, scored, trials).map_err(err("ablation"))?;
     let report = AuditReport::assemble(cfg, profile(b), &outcome, Some(&ablation));
     Ok(Audit {
         wall_s: t.elapsed().as_secs_f64(),
@@ -151,19 +171,22 @@ fn audit_once(
     })
 }
 
-/// Audits until `seconds` have passed (at least one).
+/// Audits until `seconds` have passed (at least one); `between` runs
+/// after each audit, outside its timing.
 fn audits(
     graph: &Graph,
     b: &PipelineBuilder,
     cfg: &AuditConfig,
-    heldout: &Heldout,
+    scored: &Scored,
     seconds: f64,
+    between: &mut dyn FnMut() -> BenchResult<()>,
 ) -> BenchResult<(Vec<Audit>, Trials)> {
     let trials = Mutex::new(Trials::default());
     let stop = deadline(seconds);
     let mut done = Vec::new();
     while done.is_empty() || Instant::now() < stop {
-        done.push(audit_once(graph, b, cfg, heldout, &trials)?);
+        done.push(audit_once(graph, b, cfg, scored, &trials)?);
+        between()?;
     }
     Ok((done, trials.into_inner().expect("trial log poisoned")))
 }
@@ -178,40 +201,42 @@ pub fn run(args: &RunArgs) -> BenchResult<Outcome> {
     let b = builder(args.smoke)?.seed(args.seed);
     let cfg = audit_config(args.seed);
 
-    // Set-up: load the edge list and build the audited pipeline on it. One
-    // set-up takes well under a millisecond, so each timed block holds ten.
-    let mut setups = Vec::with_capacity(SETUP_REPS);
-    let mut graph = None;
-    for _ in 0..SETUP_REPS {
-        let t = Instant::now();
-        for _ in 0..SETUP_BLOCK {
-            let g = read_edge_list_file(Path::new(EDGES), None).map_err(err(EDGES))?;
-            drop(b.clone().threads(1).build(&g).map_err(err("build"))?);
-            graph = Some(g);
+    // Set-up: load the edge list and build the audited pipeline on it,
+    // timed in blocks of set-ups before the audits and between them.
+    let mut setups = SetupTimes::default();
+    let set_up_blocks = |setups: &mut SetupTimes| -> BenchResult<Graph> {
+        let mut graph = None;
+        for _ in 0..SETUP_BLOCKS {
+            setups.time(SETUP_BLOCK, || {
+                for _ in 0..SETUP_BLOCK {
+                    let g = read_edge_list_file(Path::new(EDGES), None).map_err(err(EDGES))?;
+                    drop(b.clone().threads(1).build(&g).map_err(err("build"))?);
+                    graph = Some(g);
+                }
+                Ok(())
+            })?;
         }
-        setups.push(t.elapsed().as_secs_f64() / SETUP_BLOCK as f64);
-    }
-    let graph = graph.expect("at least one set-up");
-    out.set("setup_s", median(&setups));
+        Ok(graph.expect("at least one set-up"))
+    };
+    let graph = set_up_blocks(&mut setups)?;
+    let mut between = || set_up_blocks(&mut setups).map(drop);
 
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let split = link_prediction_split(&graph, cfg.test_fraction, &mut rng).map_err(err("split"))?;
     let g0 = split.train;
-    let heldout = Heldout {
-        pos: split.test_pos,
-        neg: split.test_neg,
-    };
+    let scored = Scored::of(&graph);
     let half = if args.trace {
         args.seconds / 2.0
     } else {
         args.seconds
     };
-    let (plain, plain_trials) = audits(&graph, &b, &cfg, &heldout, half)?;
+    let (plain, plain_trials) = audits(&graph, &b, &cfg, &scored, half, &mut between)?;
     let traced = match args.trace {
-        true => Some(audits(&graph, &b, &cfg, &heldout, half)?),
+        true => Some(audits(&graph, &b, &cfg, &scored, half, &mut between)?),
         false => None,
     };
     let peak = peak_rss_mb();
+    out.set("setup_s", setups.mean());
 
     // Correctness: a consistent verdict, no failed trial, and the stamp
     // read back from the releases equals the accountant's epsilon for the
@@ -237,11 +262,12 @@ pub fn run(args: &RunArgs) -> BenchResult<Outcome> {
     out.check(out.failed == 0, format!("{} trials failed", out.failed));
 
     let wall: f64 = plain.iter().map(|a| a.wall_s).sum();
-    // The caller of an audit waits for its verdict: latency is per audit.
-    // Quality is the mean held-out link AUC of the audit's releases.
+    // The caller of an audit waits for its verdict: latency is per audit,
+    // the mean over the run's audits. Quality is the mean reconstruction
+    // AUC of the audit's releases.
     let audit_ms: Vec<f64> = plain.iter().map(|a| a.wall_s * 1e3).collect();
     out.set("ops_per_s", out.attempted as f64 / wall);
-    out.set("op_p50_ms", median(&audit_ms));
+    out.set("op_latency_ms", mean(&audit_ms));
     out.set("op_tail_ms", tail(&audit_ms));
     out.check(
         plain_trials.auc.len() == plain_trials.release_ms.len(),

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 pub const END_TO_END: &[(&str, &str)] = &[
     ("setup_s", "s"),
     ("ops_per_s", "op/s"),
-    ("op_p50_ms", "ms"),
+    ("op_latency_ms", "ms"),
     ("op_tail_ms", "ms"),
     ("quality", "ratio"),
     ("peak_rss_mb", "MiB"),
@@ -111,6 +111,11 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
+/// Arithmetic mean (0 for an empty sample).
+pub fn mean(xs: &[f64]) -> f64 {
+    xs.iter().sum::<f64>() / xs.len().max(1) as f64
+}
+
 /// Nearest-rank percentile `q` in `[0, 1]`.
 pub fn percentile(xs: &[f64], q: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile of an empty sample");
@@ -143,6 +148,30 @@ pub fn timed_reps<T>(reps: usize, mut f: impl FnMut() -> BenchResult<T>) -> Benc
         last = Some(out);
     }
     Ok((median(&times), last.expect("at least one repetition")))
+}
+
+/// Set-up timings gathered over a whole run: a few before the measured
+/// phase and more between its operations. The host's speed changes from
+/// second to second, so set-ups taken only at the start would time one
+/// moment of it. Their mean over the run is `setup_s`: the host runs at
+/// two speeds about 1.5x apart, and a median jumps to whichever held for
+/// more than half the set-ups, where the mean follows the share of each.
+#[derive(Debug, Default)]
+pub struct SetupTimes(Vec<f64>);
+
+impl SetupTimes {
+    /// Runs one set-up and records its wall time over `per` set-ups that
+    /// it holds (for set-ups too short to time one by one).
+    pub fn time<T>(&mut self, per: usize, f: impl FnOnce() -> BenchResult<T>) -> BenchResult<T> {
+        let t = Instant::now();
+        let out = f()?;
+        self.0.push(t.elapsed().as_secs_f64() / per.max(1) as f64);
+        Ok(out)
+    }
+
+    pub fn mean(&self) -> f64 {
+        mean(&self.0)
+    }
 }
 
 /// Peak resident set of this process in MiB (`VmHWM`).

@@ -22,8 +22,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::common::{
-    deadline, err, median, ns, peak_rss_mb, scratch, tail, timed_reps, BenchResult, Outcome,
-    RunArgs,
+    deadline, err, mean, median, ns, peak_rss_mb, percentile, scratch, timed_reps, BenchResult,
+    Outcome, RunArgs, SetupTimes,
 };
 
 const K: u32 = 10;
@@ -31,9 +31,22 @@ const RECALL_TARGET: f64 = 0.95;
 const CLIENTS: usize = 2;
 /// Worker threads of the service's batch pool (the host's 2 cores).
 const SERVICE_THREADS: usize = 2;
-const SETUP_REPS: usize = 3;
-/// Windows the measured phase is cut into for throughput and tail.
-const WINDOWS: usize = 10;
+/// Set-ups before the server is measured and after it has stopped; the
+/// mean of all of them is `setup_s`. Splitting them around the measured
+/// phase samples the host's speed over the whole run.
+const SETUPS_BEFORE: usize = 3;
+const SETUPS_AFTER: usize = 2;
+/// The latency percentile reported as the tail. The 10% exact scans take
+/// about four times a cheap request, and a request that waits behind the
+/// other connection's scan takes about as long; together they hold the
+/// top tenth of latencies. p99 falls past them, where an exact scan queued
+/// behind another exact scan meets sparse samples, and moved by a third
+/// between runs of the same code; p95 sits inside the scan's own mode and
+/// moves with its cost. It is taken over the whole run: the host's speed
+/// alternates between states lasting seconds, and a percentile of all the
+/// run's samples follows the share of time in each state smoothly, where a
+/// median over short windows jumps between them.
+const TAIL_QUANTILE: f64 = 0.95;
 /// Closed-loop warm-up before timing, so the LRU cache is filled.
 const WARMUP_S: f64 = 0.5;
 
@@ -156,8 +169,6 @@ fn call(client: &mut ServeClient, r: Req) -> std::io::Result<()> {
 /// One timed request as the client saw it.
 struct Sample {
     req: Req,
-    /// Completion time, seconds since the phase started.
-    at_s: f64,
     latency_ms: f64,
     ok: bool,
 }
@@ -183,10 +194,8 @@ fn drive(
                         let t = Instant::now();
                         let ok = call(&mut client, req).is_ok();
                         let latency_ms = t.elapsed().as_secs_f64() * 1e3;
-                        let at_s = (t - start).as_secs_f64() + latency_ms / 1e3;
                         samples.push(Sample {
                             req,
-                            at_s,
                             latency_ms,
                             ok,
                         });
@@ -293,20 +302,18 @@ pub fn run(args: &RunArgs) -> BenchResult<Outcome> {
     let mut out = Outcome::default();
 
     // Set-up, repeated; each repetition's server is stopped before the
-    // next one binds, so only the last one serves.
+    // next one binds, so only the last one before the measured phase
+    // serves.
     let dir = scratch(&args.workdir, "serve")?;
-    let mut setups = Vec::with_capacity(SETUP_REPS);
+    let mut setups = SetupTimes::default();
     let mut current: Option<(Server, Files)> = None;
-    for _ in 0..SETUP_REPS {
+    for _ in 0..SETUPS_BEFORE {
         if let Some((old, _)) = current.take() {
             stop_server(old)?;
         }
-        let t = Instant::now();
-        current = Some(set_up(args.seed, &s, &dir)?);
-        setups.push(t.elapsed().as_secs_f64());
+        current = Some(setups.time(1, || set_up(args.seed, &s, &dir))?);
     }
     let (server, files) = current.expect("at least one set-up");
-    out.set("setup_s", median(&setups));
     let addr = server.local_addr();
 
     let mut streams = streams(args.seed, s.nodes);
@@ -329,6 +336,11 @@ pub fn run(args: &RunArgs) -> BenchResult<Outcome> {
         stats.errors == 0,
         format!("server counted {} errors", stats.errors),
     );
+    for _ in 0..SETUPS_AFTER {
+        let (again, _) = setups.time(1, || set_up(args.seed, &s, &dir))?;
+        stop_server(again)?;
+    }
+    out.set("setup_s", setups.mean());
 
     let samples: Vec<&Sample> = plain.0.iter().flatten().collect();
     out.attempted = samples.len() as u64;
@@ -342,22 +354,9 @@ pub fn run(args: &RunArgs) -> BenchResult<Outcome> {
     if lat.is_empty() {
         return Err("no request completed".into());
     }
-    // Throughput and tail per window of the run, then the median window:
-    // a burst of other load on the host moves one window, not the result.
-    let window = plain.1 / WINDOWS as f64;
-    let mut windows: Vec<Vec<f64>> = vec![Vec::new(); WINDOWS];
-    for x in samples.iter().filter(|x| x.ok) {
-        windows[((x.at_s / window) as usize).min(WINDOWS - 1)].push(x.latency_ms);
-    }
-    let counts: Vec<f64> = windows.iter().map(|w| w.len() as f64 / window).collect();
-    let tails: Vec<f64> = windows
-        .iter()
-        .filter(|w| !w.is_empty())
-        .map(|w| tail(w))
-        .collect();
-    out.set("ops_per_s", median(&counts));
-    out.set("op_p50_ms", median(&lat));
-    out.set("op_tail_ms", median(&tails));
+    out.set("ops_per_s", lat.len() as f64 / plain.1);
+    out.set("op_latency_ms", median(&lat));
+    out.set("op_tail_ms", percentile(&lat, TAIL_QUANTILE));
     out.set("quality", recall);
     out.set("peak_rss_mb", peak);
 
@@ -510,10 +509,6 @@ fn kind_idx(kind: Kind) -> usize {
         .iter()
         .position(|k| *k == kind)
         .expect("every kind is listed")
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    xs.iter().sum::<f64>() / xs.len().max(1) as f64
 }
 
 /// Nanoseconds to encode and decode one request and its response, over
