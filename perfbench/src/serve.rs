@@ -1,10 +1,15 @@
-//! `serve-mixed`: an in-process `serve::Server` over an indexed 100k x 32
+//! `serve-mixed`: an in-process `serve::Server` over an indexed 10k x 32
 //! store, driven by two closed-loop `ServeClient` connections.
 //!
 //! Mix: 70% approximate top-10 (recall target 0.95), 10% exact top-10,
 //! 20% pair scores. Query nodes follow a Zipf(1) popularity over a seeded
-//! permutation of the nodes, so about half of the top-k requests can hit
-//! the server's 1024-entry LRU cache.
+//! permutation of the nodes, so about 60% of the top-k requests hit the
+//! server's 1024-entry LRU cache.
+//!
+//! The store (2.6 MB) stays in cache. A 100k-row store (26 MB) streamed
+//! from memory on every exact scan and most approximate ones, and its
+//! throughput and tail timed the memory bandwidth the host's other tenants
+//! left (README).
 
 use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
@@ -22,8 +27,8 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::common::{
-    deadline, err, mean, median, ns, peak_rss_mb, percentile, scratch, timed_reps, BenchResult,
-    Outcome, RunArgs, SetupTimes,
+    deadline, err, mean, median, ns, peak_rss_mb, scratch, timed_reps, BenchResult, Outcome,
+    RunArgs, SetupTimes,
 };
 
 const K: u32 = 10;
@@ -34,19 +39,16 @@ const SERVICE_THREADS: usize = 2;
 /// Set-ups before the server is measured and after it has stopped; the
 /// mean of all of them is `setup_s`. Splitting them around the measured
 /// phase samples the host's speed over the whole run.
-const SETUPS_BEFORE: usize = 3;
-const SETUPS_AFTER: usize = 2;
-/// The latency percentile reported as the tail. The 10% exact scans take
-/// about four times a cheap request, and a request that waits behind the
-/// other connection's scan takes about as long; together they hold the
-/// top tenth of latencies. p99 falls past them, where an exact scan queued
-/// behind another exact scan meets sparse samples, and moved by a third
-/// between runs of the same code; p95 sits inside the scan's own mode and
-/// moves with its cost. It is taken over the whole run: the host's speed
-/// alternates between states lasting seconds, and a percentile of all the
-/// run's samples follows the share of time in each state smoothly, where a
-/// median over short windows jumps between them.
-const TAIL_QUANTILE: f64 = 0.95;
+const SETUPS_BEFORE: usize = 5;
+const SETUPS_AFTER: usize = 4;
+/// The request kind that sets the tail: the exact scan, a tenth of the
+/// mix. `op_tail_ms` is its median wire latency over the run. Percentiles
+/// over all requests timed the host instead: with eight threads of client
+/// and server on two vCPUs, a few percent of steal time stalls a tenth of
+/// the requests, and p95 spread 0.33 of its median over ten seeds as
+/// steal moved between 2% and 8% (p99 0.61 over five), where this median
+/// spread 0.05 over the same kind of runs.
+const TAIL_KIND: Kind = Kind::Exact;
 /// Closed-loop warm-up before timing, so the LRU cache is filled.
 const WARMUP_S: f64 = 0.5;
 
@@ -83,15 +85,19 @@ fn shape(smoke: bool) -> Shape {
         }
     } else {
         Shape {
-            nodes: 100_000,
+            nodes: 10_000,
             dim: 32,
-            groups: 256,
+            groups: 83,
             check_nodes: 100,
         }
     }
 }
 
 /// A clustered store: `groups` seeded centres, rows scattered around them.
+/// About 1.2 index lists per cluster (the index takes about sqrt(n) lists)
+/// keeps approximate recall@10 at 1.0 over twelve seeds at the 0.95
+/// target; 32 or 128 clusters over 10k rows split clusters across lists
+/// and read as low as 0.92.
 fn make_store(seed: u64, s: &Shape) -> BenchResult<EmbeddingStore> {
     let mut rng = seeded(derive_seed(seed, 0x5e7));
     let centres = DenseMatrix::from_fn(s.groups, s.dim, |_, _| rng.gen_range(-3.0..3.0));
@@ -356,7 +362,15 @@ pub fn run(args: &RunArgs) -> BenchResult<Outcome> {
     }
     out.set("ops_per_s", lat.len() as f64 / plain.1);
     out.set("op_latency_ms", median(&lat));
-    out.set("op_tail_ms", percentile(&lat, TAIL_QUANTILE));
+    let tail_kind: Vec<f64> = samples
+        .iter()
+        .filter(|x| x.ok && x.req.kind == TAIL_KIND)
+        .map(|x| x.latency_ms)
+        .collect();
+    if tail_kind.is_empty() {
+        return Err(format!("no {TAIL_KIND:?} request completed"));
+    }
+    out.set("op_tail_ms", median(&tail_kind));
     out.set("quality", recall);
     out.set("peak_rss_mb", peak);
 
