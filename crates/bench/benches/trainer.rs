@@ -2,7 +2,7 @@
 //! the cost side of the design-choice ablations in DESIGN.md §4
 //! (adversarial module on/off, constrained vs plain sigmoid, DP on/off).
 
-use advsgm_core::{AdvSgmConfig, ModelVariant, ShardedTrainer, Trainer};
+use advsgm_core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm_graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
 use advsgm_linalg::rng::seeded;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -21,6 +21,8 @@ fn fixture() -> advsgm_graph::Graph {
     )
 }
 
+/// One full epoch on the sequential engine (pinned to one thread so
+/// `ADVSGM_THREADS` cannot reroute it).
 fn one_epoch_config(variant: ModelVariant) -> AdvSgmConfig {
     AdvSgmConfig {
         variant,
@@ -30,6 +32,7 @@ fn one_epoch_config(variant: ModelVariant) -> AdvSgmConfig {
         gen_iters: 3,
         batch_size: 64,
         epsilon: 1e9, // never stop: measure a full epoch
+        num_threads: 1,
         ..AdvSgmConfig::default()
     }
 }
@@ -50,23 +53,17 @@ fn bench_epochs(c: &mut Criterion) {
 }
 
 fn bench_sharded_engine(c: &mut Criterion) {
-    // Sequential vs sharded on the same epoch workload. On a multi-core
-    // host the 4-thread row drops; `throughput_scaling` has the full
-    // pairs/sec sweep on the 10k-node fixture.
+    // The same epoch workload at 1 thread (sequential) and 4 (sharded).
+    // On a multi-core host the 4-thread row drops; `training_throughput`
+    // has the pairs/sec sweep.
     let g = fixture();
     let mut group = c.benchmark_group("sharded_epoch");
     group.sample_size(10);
-    group.bench_function("sequential_trainer", |b| {
-        b.iter(|| {
-            let out = Trainer::fit(&g, one_epoch_config(ModelVariant::AdvSgm)).unwrap();
-            black_box(out.disc_updates)
-        })
-    });
     for threads in [1usize, 4] {
-        group.bench_function(format!("sharded_{threads}_threads"), |b| {
+        group.bench_function(format!("in_ram_{threads}_threads"), |b| {
             b.iter(|| {
                 let cfg = one_epoch_config(ModelVariant::AdvSgm).with_threads(threads);
-                black_box(ShardedTrainer::fit(&g, cfg).unwrap().disc_updates)
+                black_box(Trainer::fit(&g, cfg).unwrap().disc_updates)
             })
         });
     }

@@ -1,14 +1,15 @@
-//! Training throughput: in-RAM vs out-of-core partitioned (DESIGN.md
-//! §7/§14).
+//! Training throughput: the in-RAM thread sweep beside out-of-core
+//! partitioned training (DESIGN.md §7/§14).
 //!
 //! Trains AdvSGM on a synthetic graph and reports **pairs/sec**
 //! (positive + negative pairs pushed through the discriminator per
-//! wall-clock second) for the in-RAM engine and the partitioned
-//! out-of-core engine at 1 and 4 worker threads — the price of the
-//! two-slot residency bound, measured rather than guessed. While
-//! timing, it asserts the engines' headline contract: the partitioned
-//! run's node vectors are bitwise-identical to the sequential run's.
-//! Run with:
+//! wall-clock second) in RAM at 1, 2 and 4 worker threads (sequential,
+//! then sharded) and out of core at 1 and 4 threads — the speed-up of
+//! the sharded engine and the price of the two-slot residency bound,
+//! measured rather than guessed. The in-RAM speed-up needs free cores:
+//! the printed host parallelism makes logs interpretable. While timing,
+//! it asserts the engines' headline contract: the partitioned run's node
+//! vectors are bitwise-identical to the sequential run's. Run with:
 //!
 //! ```text
 //! cargo bench -p advsgm-bench --bench training_throughput          # full
@@ -23,7 +24,7 @@
 
 use std::time::Instant;
 
-use advsgm_core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, ShardedTrainer, Trainer};
+use advsgm_core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm_graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
 use advsgm_linalg::rng::seeded;
 
@@ -78,16 +79,14 @@ fn measure(
 ) -> (f64, u64) {
     let cfg = workload(threads, quick);
     let pairs = pairs_per_run(&cfg) * reps as u64;
+    let partitions = match engine {
+        "in_ram" => 0,
+        "partitioned" => PARTITIONS,
+        other => unreachable!("engine {other}"),
+    };
     let run = |cfg: AdvSgmConfig| -> u64 {
-        match engine {
-            "in_ram" => ShardedTrainer::fit(graph, cfg).unwrap().disc_updates,
-            "partitioned" => {
-                PartitionedTrainer::fit(graph, cfg, PARTITIONS)
-                    .unwrap()
-                    .disc_updates
-            }
-            other => unreachable!("engine {other}"),
-        }
+        let trainer = Trainer::new(graph, cfg, partitions).unwrap();
+        trainer.train(graph).unwrap().disc_updates
     };
     // Warm-up outside the clock (page-faults the matrices, creates the
     // spill directory).
@@ -109,6 +108,9 @@ struct TrainingBaseline {
     /// The kernel backend every run used (`linalg::backend::active`);
     /// pairs/sec trends are only comparable within one backend.
     kernel_backend: &'static str,
+    /// `std::thread::available_parallelism` on the measuring host: the
+    /// in-RAM thread sweep only speeds up with free cores.
+    host_parallelism: usize,
     nodes: usize,
     edges: usize,
     dim: usize,
@@ -147,7 +149,10 @@ fn main() {
 
     // The contract behind the numbers: same bits, different residency.
     let seq = Trainer::fit(&graph, workload(1, quick)).unwrap();
-    let ooc = PartitionedTrainer::fit(&graph, workload(1, quick), PARTITIONS).unwrap();
+    let ooc = Trainer::new(&graph, workload(1, quick), PARTITIONS)
+        .unwrap()
+        .train(&graph)
+        .unwrap();
     assert_eq!(
         seq.node_vectors
             .as_slice()
@@ -168,8 +173,8 @@ fn main() {
         "engine", "threads", "pairs/sec", "pairs"
     );
     let mut runs = Vec::new();
-    for engine in ["in_ram", "partitioned"] {
-        for threads in [1usize, 4] {
+    for (engine, widths) in [("in_ram", &[1usize, 2, 4][..]), ("partitioned", &[1, 4])] {
+        for &threads in widths {
             let (pps, pairs) = measure(&graph, engine, threads, reps, quick);
             println!("{engine:>13} {threads:>8} {pps:>14.0} {pairs:>12}");
             runs.push(RunFacts {
@@ -180,15 +185,18 @@ fn main() {
             });
         }
     }
-    let rel = |threads: usize| -> f64 {
-        let at = |engine: &str| {
-            runs.iter()
-                .find(|r| r.engine == engine && r.threads == threads)
-                .map(|r| r.pairs_per_sec)
-                .unwrap_or(f64::NAN)
-        };
-        at("partitioned") / at("in_ram")
+    let at = |engine: &str, threads: usize| {
+        runs.iter()
+            .find(|r| r.engine == engine && r.threads == threads)
+            .map(|r| r.pairs_per_sec)
+            .unwrap_or(f64::NAN)
     };
+    let rel = |threads: usize| at("partitioned", threads) / at("in_ram", threads);
+    println!(
+        "in-RAM speed-up over 1 thread: {:.2}x at 2 threads, {:.2}x at 4 threads",
+        at("in_ram", 2) / at("in_ram", 1),
+        at("in_ram", 4) / at("in_ram", 1)
+    );
     println!(
         "out-of-core relative throughput: {:.2}x at 1 thread, {:.2}x at 4 threads",
         rel(1),
@@ -200,6 +208,7 @@ fn main() {
             experiment: "training_throughput",
             mode: "full",
             kernel_backend: advsgm_linalg::backend::active().name(),
+            host_parallelism: cores,
             nodes: graph.num_nodes(),
             edges: graph.num_edges(),
             dim: 64,

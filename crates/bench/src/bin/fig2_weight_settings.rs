@@ -12,7 +12,7 @@ use advsgm_datasets::{synthesize, Dataset};
 use advsgm_linalg::stats::Summary;
 
 /// Session hook that traces the per-epoch `|L_Nov|` trajectory — the
-/// harness trains through the session layer (`Trainer::train_with_hooks`)
+/// harness trains through the session layer (`Trainer::train_in_place`)
 /// and keeps the trainer alive to evaluate the Fig. 2 weight modes on the
 /// trained state afterwards.
 #[derive(Default)]
@@ -55,17 +55,19 @@ fn main() {
             for run in 0..args.runs {
                 let run_seed = args.seed.wrapping_add(run);
                 let graph = synthesize(&spec, run_seed);
-                let mut cfg = AdvSgmConfig::for_variant(ModelVariant::AdvSgm);
+                // Weight-mode evaluation needs the sequential engine: pin
+                // one thread so ADVSGM_THREADS cannot select another.
+                let mut cfg = AdvSgmConfig::for_variant(ModelVariant::AdvSgm).with_threads(1);
                 cfg.seed = run_seed;
                 cfg.batch_size = advsgm_bench::harness::scaled_batch(args.scale);
                 if let Some(e) = args.epochs {
                     cfg.epochs = e;
                 }
                 let epochs = cfg.epochs;
-                let mut trainer = Trainer::new(&graph, cfg).expect("trainer");
+                let mut trainer = Trainer::new(&graph, cfg, 0).expect("trainer");
                 let mut trace = LossTrace::default();
                 trainer
-                    .train_with_hooks(&graph, &mut trace)
+                    .train_in_place(&graph, &mut trace)
                     .expect("training failed");
                 assert!(
                     trace.losses.len() <= epochs,

@@ -77,7 +77,7 @@ pub fn variant_auc(
     let graph = synthesize(spec, run_seed);
     let mut rng = seeded(derive_seed(run_seed, 0x5711));
     let split = link_prediction_split(&graph, 0.10, &mut rng)?;
-    let mut cfg = AdvSgmConfig::for_variant(variant);
+    let mut cfg = AdvSgmConfig::for_variant(variant).with_threads(1);
     cfg.seed = derive_seed(run_seed, 0x7124);
     tweak(&mut cfg);
     let out = Trainer::fit(&split.train, cfg)?;
@@ -96,7 +96,7 @@ pub fn variant_mi(
     tweak: &dyn Fn(&mut AdvSgmConfig),
 ) -> Result<f64, Box<dyn Error>> {
     let graph = synthesize(spec, run_seed);
-    let mut cfg = AdvSgmConfig::for_variant(variant);
+    let mut cfg = AdvSgmConfig::for_variant(variant).with_threads(1);
     cfg.seed = derive_seed(run_seed, 0x7125);
     tweak(&mut cfg);
     let out = Trainer::fit(&graph, cfg)?;

@@ -63,16 +63,15 @@ pub struct AdvSgmConfig {
     /// which is what reproduces their flat ~0.505 rows in Table V.
     /// The privacy accountant follows Theorem 7 verbatim in both modes.
     pub faithful_noise: bool,
-    /// Worker threads for the sharded training engine
-    /// ([`crate::sharded::ShardedTrainer`]).
+    /// Worker threads for the training engine ([`crate::Trainer`]).
     ///
     /// `0` means *auto*: the `ADVSGM_THREADS` environment variable if set,
-    /// otherwise 1. At 1 the sharded trainer is bitwise-identical to the
-    /// sequential [`crate::trainer::Trainer`]; at `N > 1` results are
-    /// run-to-run deterministic for a fixed `(seed, threads, shard_size)`
-    /// triple but differ from the sequential trajectory (the parallel
-    /// engine derives independent per-shard RNG streams). The sequential
-    /// `Trainer` ignores this field entirely.
+    /// otherwise 1. In RAM, 1 selects the sequential engine and `N > 1`
+    /// the sharded engine, whose results are run-to-run deterministic for
+    /// a fixed `(seed, threads, shard_size)` triple but differ from the
+    /// sequential trajectory (it derives independent per-shard RNG
+    /// streams). Out of core the width only speeds up the partitioned
+    /// engine, which follows the sequential trajectory at every width.
     pub num_threads: usize,
     /// Pairs per shard for the parallel engine; `0` means *auto* (divide
     /// each batch evenly over the worker threads). Smaller shards change

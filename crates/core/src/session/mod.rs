@@ -11,7 +11,7 @@
 //! `Engine` strategy with exactly three implementations:
 //!
 //! * `sequential::SequentialEngine` — single-threaded step execution on
-//!   one interleaved RNG stream (the classic `Trainer` behaviour);
+//!   one interleaved RNG stream (the sequential trajectory);
 //! * `sharded::ShardedEngine` — the producer/worker execution of
 //!   DESIGN.md §7 (Algorithm-2 production one iteration ahead, per-shard
 //!   RNG streams, deterministic shard-order reduction);
@@ -22,9 +22,8 @@
 //!   trajectory is bitwise-identical to the sequential engine's at any
 //!   partition count and thread count.
 //!
-//! [`Trainer`](crate::Trainer), [`ShardedTrainer`](crate::ShardedTrainer),
-//! and [`PartitionedTrainer`](crate::PartitionedTrainer) are thin facades
-//! over a session core plus one engine; the engine trait and all three
+//! [`Trainer`](crate::Trainer) is the one front-end: a session core plus
+//! the engine its selection rule picked. The engine trait and all three
 //! implementations are deliberately crate-private, so a fourth loop
 //! cannot appear without touching this layer.
 //!
@@ -398,23 +397,22 @@ impl TrainHooks for NoHooks {
     }
 }
 
-/// Which execution engine a checkpoint was captured from. Resume restores
-/// the *same* engine: trajectories are engine-specific, so resuming a
-/// sharded checkpoint sequentially (or vice versa) can never be bitwise
-///-faithful and is rejected.
+/// Which execution engine a checkpoint was captured from — persisted as
+/// the `.actk` engine code. The engines follow two trajectories:
+/// sequential and partitioned checkpoints hold the same state and resume
+/// interchangeably on either engine (the caller's partition count picks
+/// the residency), while a sharded checkpoint resumes only on the sharded
+/// engine at its pinned width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Single-threaded step execution (`Trainer`).
+    /// Single-threaded in-RAM step execution (the sequential trajectory).
     Sequential,
-    /// The sharded producer/worker execution (`ShardedTrainer` at
-    /// `threads > 1`); the thread count travels in the checkpoint's
-    /// `config.num_threads`.
+    /// The sharded producer/worker execution at `threads > 1`; the thread
+    /// count travels in the checkpoint's `config.num_threads`.
     Sharded,
-    /// The out-of-core partition-swapping execution
-    /// (`PartitionedTrainer`). Its trajectory replays the sequential
-    /// engine's, so its checkpoints are interchangeable across partition
-    /// counts — but not across engines, because the stream layout
-    /// differs from the sharded engine's.
+    /// The out-of-core partition-swapping execution. It replays the
+    /// sequential trajectory, so its checkpoints are interchangeable with
+    /// sequential ones across partition counts, including 0 (in RAM).
     Partitioned,
 }
 
@@ -841,8 +839,8 @@ fn capture_checkpoint(core: &SessionCore, engine: &dyn Engine, graph: &Graph) ->
 }
 
 /// The Algorithm-3 schedule — the **only** implementation of the epoch /
-/// discriminator-iteration / budget-stop loop in the workspace. Both
-/// engines execute under it; both facades drive it.
+/// discriminator-iteration / budget-stop loop in the workspace. Every
+/// engine executes under it; the one `Trainer` front-end drives it.
 ///
 /// Resume-aware: the loop starts at `core.cursor.epochs_done`, so a
 /// session restored from a [`CheckpointState`] continues exactly where the

@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use advsgm_graph::{Graph, NodeBuckets};
@@ -55,7 +55,6 @@ use crate::loss::{fold_novel_loss, negative_dot, positive_terms, PositiveTerms};
 use crate::model::embeddings::step_row;
 use crate::model::generator::FakeNeighbor;
 use crate::model::Embeddings;
-use crate::partitioned::SlotPoolStats;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
     accumulate, clipped_pair_grads, gradient_noise_std, Engine, EngineKind, EngineStreams, PairCtx,
@@ -95,6 +94,46 @@ struct Slot {
     /// Whether the rows have been written since loading (evicting a clean
     /// slot skips the spill write).
     dirty: bool,
+}
+
+/// Observability counters for the partitioned engine's two-slot pool.
+///
+/// Obtained *before* training consumes the trainer (the handle is
+/// `Arc`-shared with the engine), so tests and callers can assert the
+/// residency bound after the run:
+/// [`SlotPoolStats::high_water`] never exceeds 2 — one `W_in` partition
+/// plus one `W_out` partition. Every counter stays 0 for the in-RAM
+/// engines.
+#[derive(Debug, Default)]
+pub struct SlotPoolStats {
+    resident: AtomicUsize,
+    high_water: AtomicUsize,
+    loads: AtomicUsize,
+    evictions: AtomicUsize,
+}
+
+impl SlotPoolStats {
+    /// Partitions currently resident in the pool (0, 1, or 2).
+    pub fn resident(&self) -> usize {
+        self.resident.load(Ordering::Relaxed)
+    }
+
+    /// The maximum number of simultaneously resident partitions observed
+    /// so far — the memory bound; `<= 2` by construction.
+    pub fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Relaxed)
+    }
+
+    /// Partition loads from the spill store (including the first load of
+    /// each bucket).
+    pub fn loads(&self) -> usize {
+        self.loads.load(Ordering::Relaxed)
+    }
+
+    /// Partition evictions from the pool (clean or dirty).
+    pub fn evictions(&self) -> usize {
+        self.evictions.load(Ordering::Relaxed)
+    }
 }
 
 /// The embedding matrices, bucketed by node range, with at most one
@@ -381,6 +420,11 @@ impl PartitionedEngine {
             pool,
             threads,
         })
+    }
+
+    /// The number of node buckets `P`.
+    pub(crate) fn partitions(&self) -> usize {
+        self.parts.buckets.count()
     }
 
     /// Drops the full-matrix copy a checkpoint's [`Engine::sync_core`]

@@ -28,10 +28,10 @@ use crate::session::{
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
-/// Single-threaded step execution (the classic `Trainer` engine).
+/// Single-threaded step execution (the sequential trajectory).
 pub(crate) struct SequentialEngine {
     /// Algorithm-2 batch provisioning; also used by the Fig. 2 harness's
-    /// post-training loss evaluation through the `Trainer` facade.
+    /// post-training loss evaluation (`Trainer::loss_under_weight_mode`).
     pub(crate) provider: BatchProvider,
     /// The one RNG stream: init-stream continuation, interleaving
     /// sampling, fakes, and noise in program order.

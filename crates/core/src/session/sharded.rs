@@ -33,11 +33,11 @@
 //! fresh producer from the snapshot and starts it at the next epoch.
 
 use std::collections::HashMap;
-use std::sync::mpsc::{Receiver, SyncSender};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
 use advsgm_graph::sampling::negative::NegativePair;
 use advsgm_graph::{Edge, Graph, GraphError};
-use advsgm_linalg::rng::{derive_seed, gaussian_vec, rng_state, seeded};
+use advsgm_linalg::rng::{derive_seed, gaussian_vec, rng_from_state, rng_state, seeded};
 use advsgm_linalg::{backend, vector};
 use advsgm_parallel::ThreadPool;
 use rand::rngs::SmallRng;
@@ -47,8 +47,9 @@ use crate::error::CoreError;
 use crate::loss::novel_loss_batch;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
-    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, Engine, EngineKind,
-    EngineStreams, PairCtx, PairFakes, RowAcc, SessionCore, STREAM_DISC, STREAM_GEN,
+    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, run_schedule, Engine,
+    EngineKind, EngineStreams, PairCtx, PairFakes, RowAcc, SessionCore, TrainHooks, STREAM_DISC,
+    STREAM_GEN, STREAM_LOSS, STREAM_SAMPLER,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
@@ -56,11 +57,11 @@ use crate::weighting::WeightMode;
 /// Bounded depth of the producer -> consumer batch queue: enough for
 /// sampling to run ahead of gradient work, small enough to cap memory at a
 /// few batches.
-pub(crate) const QUEUE_DEPTH: usize = 4;
+const QUEUE_DEPTH: usize = 4;
 
 /// The producer's checkpointable state as of an epoch boundary.
 #[derive(Debug, Clone)]
-pub(crate) struct ProducerSnapshot {
+struct ProducerSnapshot {
     /// The producer RNG's state after finishing the epoch's production.
     pub rng: [u64; 4],
     /// The edge sampler's index permutation at the same point.
@@ -68,7 +69,7 @@ pub(crate) struct ProducerSnapshot {
 }
 
 /// Items flowing from the producer thread to the training loop.
-pub(crate) enum Produced {
+enum Produced {
     /// One discriminator update batch.
     Update(DiscBatch),
     /// The epoch-loss diagnostic batch (positives, their foe flags, and
@@ -89,7 +90,7 @@ pub(crate) enum Produced {
 /// What the producer thread must produce: the epoch range still to run,
 /// the per-epoch iteration count, and whether to attach boundary
 /// snapshots for checkpointing.
-pub(crate) struct ProducePlan {
+struct ProducePlan {
     /// First epoch to produce (0 for fresh runs, `epochs_done` on resume).
     pub start_epoch: usize,
     /// Total configured epochs.
@@ -103,7 +104,7 @@ pub(crate) struct ProducePlan {
 /// Runs Algorithm 2 production for the plan's epoch range, one iteration
 /// ahead of the consumer. Ends when the schedule is produced or the
 /// consumer hangs up (early stop / error).
-pub(crate) fn produce_batches(
+fn produce_batches(
     mut provider: BatchProvider,
     graph: &Graph,
     mut rng: SmallRng,
@@ -151,10 +152,71 @@ pub(crate) fn produce_batches(
     }
 }
 
-/// The `threads > 1` execution strategy. Lives inside the facade's thread
-/// scope: it borrows the worker pool and owns the consumer end of the
-/// producer queue.
-pub(crate) struct ShardedEngine<'p> {
+/// A sharded session waiting to run: the engine itself only exists inside
+/// [`ShardedLaunch::run`]'s thread scope, where it borrows the worker pool
+/// and owns the consumer end of the producer queue.
+pub(crate) struct ShardedLaunch {
+    /// Algorithm-2 batch provisioning, moved into the producer thread.
+    pub provider: BatchProvider,
+    /// Worker threads (`>= 2`).
+    pub threads: usize,
+    /// `[producer, epoch-loss]` RNG states when resuming; `None` for a
+    /// fresh run (streams derive from the seed).
+    pub streams: Option<[[u64; 4]; 2]>,
+}
+
+impl ShardedLaunch {
+    /// Runs the remaining schedule on the sharded engine: stands up the
+    /// worker pool and the producer thread, then drives
+    /// [`run_schedule`] until the schedule ends.
+    pub(crate) fn run(
+        self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        hooks: &mut dyn TrainHooks,
+    ) -> Result<(), CoreError> {
+        let Self {
+            provider,
+            threads,
+            streams,
+        } = self;
+        let mut pool = ThreadPool::new(threads);
+        let seed = core.cfg.seed;
+        let (producer_rng, loss_rng) = match streams {
+            Some([producer, loss]) => (rng_from_state(producer), rng_from_state(loss)),
+            None => (
+                seeded(derive_seed(seed, STREAM_SAMPLER)),
+                seeded(derive_seed(seed, STREAM_LOSS)),
+            ),
+        };
+        // The engine's checkpoint baseline: the producer's start state is
+        // by definition its state at the `start_epoch` boundary.
+        let initial = ProducerSnapshot {
+            rng: rng_state(&producer_rng),
+            edge_permutation: provider.edge_permutation().to_vec(),
+        };
+        let plan = ProducePlan {
+            start_epoch: core.cursor.epochs_done,
+            epochs: core.cfg.epochs,
+            disc_iters: core.cfg.disc_iters,
+            // Snapshot upkeep is skipped entirely for runs that can never
+            // checkpoint (it copies the edge permutation once per epoch).
+            snapshots: hooks.may_checkpoint(),
+        };
+        std::thread::scope(|scope| {
+            let (tx, rx) = sync_channel(QUEUE_DEPTH);
+            // Producer: runs Algorithm 2 ahead of the training loop.
+            scope.spawn(move || {
+                produce_batches(provider, graph, producer_rng, &plan, &tx);
+            });
+            let mut engine = ShardedEngine::new(&mut pool, rx, threads, seed, loss_rng, initial);
+            run_schedule(core, &mut engine, graph, hooks)
+        })
+    }
+}
+
+/// The `threads > 1` execution strategy (see [`ShardedLaunch`]).
+struct ShardedEngine<'p> {
     pool: &'p mut ThreadPool,
     rx: Receiver<Produced>,
     threads: usize,
@@ -171,7 +233,7 @@ pub(crate) struct ShardedEngine<'p> {
 
 impl<'p> ShardedEngine<'p> {
     /// Builds the engine for one training run.
-    pub(crate) fn new(
+    fn new(
         pool: &'p mut ThreadPool,
         rx: Receiver<Produced>,
         threads: usize,

@@ -537,11 +537,11 @@ mod tests {
 
     fn sample_state() -> State {
         let g = karate_club();
-        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
+        let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);
         let mut cap = Capture(None);
-        Trainer::new(&g, cfg)
+        Trainer::new(&g, cfg, 0)
             .unwrap()
-            .run_with_hooks(&g, &mut cap)
+            .train_with_hooks(&g, &mut cap)
             .unwrap();
         cap.0.expect("checkpoint captured")
     }

@@ -96,7 +96,7 @@ pub enum StoreError {
         /// What was wrong.
         reason: String,
     },
-    /// Training failed while exporting ([`crate::ExportEmbeddings`]).
+    /// Training failed on the way to a release.
     Train(CoreError),
 }
 

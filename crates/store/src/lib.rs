@@ -15,9 +15,9 @@
 //! * [`format`](mod@format) — the versioned, CRC-checksummed `.aemb` on-disk format,
 //!   byte-level spec in `docs/FORMAT.md` (DESIGN.md §9); save → load is
 //!   bitwise-exact and every corruption mode is a typed [`StoreError`];
-//! * [`ExportEmbeddings`] — `export()` on [`advsgm_core::Trainer`] and
-//!   [`advsgm_core::ShardedTrainer`], stamping accounting metadata from
-//!   the RDP accountant's spend snapshot into the released store;
+//! * [`EmbeddingStore::from_outcome`] — the release step: a finished
+//!   [`advsgm_core::Trainer`] run becomes a store stamped with the RDP
+//!   accountant's spend;
 //! * [`checkpoint`] — the versioned, CRC-checksummed `.actk` codec for
 //!   [`advsgm_core::CheckpointState`]: crash-safe persistence of a
 //!   training session's mid-schedule state, enabling bitwise-exact
@@ -40,11 +40,12 @@
 //! ```
 //! use advsgm_core::{AdvSgmConfig, ModelVariant, Trainer};
 //! use advsgm_graph::generators::classic::karate_club;
-//! use advsgm_store::ExportEmbeddings;
+//! use advsgm_store::EmbeddingStore;
 //!
 //! let graph = karate_club();
 //! let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-//! let store = Trainer::new(&graph, cfg).unwrap().export(&graph).unwrap();
+//! let outcome = Trainer::fit(&graph, cfg.clone()).unwrap();
+//! let store = EmbeddingStore::from_outcome(&outcome, &cfg).unwrap();
 //! assert!(store.meta().is_private());
 //!
 //! // Serving: pairwise link score + nearest neighbors (post-processing).
@@ -65,7 +66,6 @@
 pub mod agph;
 pub mod checkpoint;
 pub mod error;
-pub mod export;
 pub mod format;
 pub mod index;
 pub mod meta;
@@ -74,7 +74,6 @@ pub mod store;
 pub use agph::{decode_agph, encode_agph, load_agph, save_agph, AgphReader};
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, load_checkpoint, save_checkpoint};
 pub use error::StoreError;
-pub use export::ExportEmbeddings;
 pub use index::{IndexParams, IvfIndex, SearchResult};
 pub use meta::PrivacyMeta;
 pub use store::{EmbeddingStore, Neighbor};

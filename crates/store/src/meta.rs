@@ -6,8 +6,8 @@
 //! [`PrivacyMeta`] records the variant that produced the vectors and, for
 //! private variants, the `(epsilon, delta, sigma)` triple — `epsilon` is
 //! the accountant's *spent* value at the target `delta` (stamped from
-//! [`advsgm_privacy::RdpAccountant::snapshot`] via the export path), not
-//! the configured ceiling.
+//! [`advsgm_privacy::RdpAccountant::snapshot`] via
+//! `EmbeddingStore::from_outcome`), not the configured ceiling.
 
 use std::fmt;
 

@@ -15,8 +15,8 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 
 use advsgm_core::{
-    AdvSgmConfig, CheckpointState, EngineKind, EpochEvent, PartitionedTrainer, SessionControl,
-    ShardedTrainer, SpendSnapshot, TrainHooks, TrainOutcome,
+    AdvSgmConfig, CheckpointState, EpochEvent, SessionControl, SpendSnapshot, TrainHooks,
+    TrainOutcome, Trainer,
 };
 use advsgm_graph::Graph;
 use advsgm_linalg::DenseMatrix;
@@ -99,10 +99,10 @@ pub enum PipelineEvent<'a> {
 #[derive(Debug, Clone)]
 pub struct Checkpoint {
     state: CheckpointState,
-    /// The partition-count *hint* for resuming out-of-core checkpoints
-    /// ([`Checkpoint::set_partitions`]). Never persisted: the trajectory
-    /// is partition-invariant, so the bucket count is free to change
-    /// between the captured run and the resumed one.
+    /// The residency to resume with ([`Checkpoint::set_partitions`]).
+    /// Never persisted: the trajectory is partition-invariant, so the
+    /// bucket count is free to change between the captured run and the
+    /// resumed one.
     partitions: usize,
 }
 
@@ -119,12 +119,17 @@ impl Checkpoint {
         })
     }
 
-    /// Sets the node-bucket count used when resuming a checkpoint that
-    /// was captured by the out-of-core partitioned engine (defaults to 1
-    /// when unset). The continued trajectory is bitwise-identical under
-    /// *any* count — this is purely a memory-residency choice, which is
-    /// why it is a resume-time hint and not part of the persisted state.
-    /// Ignored for in-RAM checkpoints.
+    /// Sets the residency to resume with, as
+    /// [`PipelineBuilder::partitions`]: `0` (the default) resumes in RAM,
+    /// `P >= 1` out of core with `P` node buckets. A sequential or
+    /// partitioned checkpoint continues the bitwise-identical trajectory
+    /// under *any* count — this is purely a memory-residency choice, which
+    /// is why it is a resume-time setting and not part of the persisted
+    /// state. A checkpoint of the sharded engine resumes only in RAM:
+    /// with `P >= 1`, [`Pipeline::resume_from`] fails with a typed
+    /// checkpoint error.
+    ///
+    /// [`PipelineBuilder::partitions`]: crate::api::PipelineBuilder::partitions
     pub fn set_partitions(&mut self, partitions: usize) {
         self.partitions = partitions;
     }
@@ -187,54 +192,16 @@ struct CheckpointPolicy {
 /// The boxed observer a [`Pipeline`] carries.
 type Observer<'g> = Box<dyn FnMut(PipelineEvent<'_>) + 'g>;
 
-/// The engine a [`Pipeline`] drives: the in-RAM facade (which itself
-/// selects sequential vs sharded by thread count) or the out-of-core
-/// partitioned engine. Every variant runs the same `run_schedule` and
-/// produces the same bitwise trajectory at a fixed seed.
-enum AnyTrainer {
-    InRam(ShardedTrainer),
-    OutOfCore(Box<PartitionedTrainer>),
-}
-
-impl AnyTrainer {
-    fn threads(&self) -> usize {
-        match self {
-            AnyTrainer::InRam(t) => t.threads(),
-            AnyTrainer::OutOfCore(t) => t.threads(),
-        }
-    }
-
-    fn config(&self) -> &AdvSgmConfig {
-        match self {
-            AnyTrainer::InRam(t) => t.config(),
-            AnyTrainer::OutOfCore(t) => t.config(),
-        }
-    }
-
-    fn train_with_hooks(
-        self,
-        graph: &Graph,
-        hooks: &mut dyn TrainHooks,
-    ) -> std::result::Result<TrainOutcome, advsgm_core::CoreError> {
-        match self {
-            AnyTrainer::InRam(t) => t.train_with_hooks(graph, hooks),
-            AnyTrainer::OutOfCore(t) => t.train_with_hooks(graph, hooks),
-        }
-    }
-}
-
 /// One training run, engine-agnostic: built by
 /// [`PipelineBuilder::build`] or [`Pipeline::resume`], consumed by
 /// [`Pipeline::train`].
 ///
-/// The engine is selected at construction: sequential vs sharded from
-/// [`AdvSgmConfig::effective_threads`], or the out-of-core partitioned
-/// engine when the builder asked for node buckets
-/// ([`PipelineBuilder::partitions`]). A `Pipeline` run is
-/// bitwise-identical to the equivalent hand-wired
-/// [`Trainer`](advsgm_core::Trainer) / [`ShardedTrainer`] /
-/// [`PartitionedTrainer`] run (`tests/api_facade.rs`,
-/// `tests/ooc_equivalence.rs`).
+/// The engine is selected at construction by [`Trainer`]'s one rule:
+/// the out-of-core partitioned engine when the builder asked for node
+/// buckets ([`PipelineBuilder::partitions`]), otherwise sequential vs
+/// sharded from [`AdvSgmConfig::effective_threads`]. A `Pipeline` run is
+/// bitwise-identical to the equivalent hand-wired [`Trainer`] run
+/// (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).
 ///
 /// [`PipelineBuilder::partitions`]: crate::api::PipelineBuilder::partitions
 ///
@@ -256,7 +223,7 @@ impl AnyTrainer {
 /// ```
 pub struct Pipeline<'g> {
     graph: &'g Graph,
-    trainer: AnyTrainer,
+    trainer: Trainer,
     checkpoints: Option<CheckpointPolicy>,
     keep_checkpoint: bool,
     observer: Option<Observer<'g>>,
@@ -270,6 +237,7 @@ impl std::fmt::Debug for Pipeline<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("threads", &self.threads())
+            .field("partitions", &self.partitions())
             .field("config", self.config())
             .field("checkpoints", &self.checkpoints)
             .field("keep_checkpoint", &self.keep_checkpoint)
@@ -279,21 +247,9 @@ impl std::fmt::Debug for Pipeline<'_> {
 }
 
 impl<'g> Pipeline<'g> {
-    /// Wraps an already-constructed in-RAM trainer (crate-internal: the
-    /// builder and resume paths are the public constructors).
-    pub(crate) fn from_trainer(graph: &'g Graph, trainer: ShardedTrainer) -> Self {
-        Self::from_any(graph, AnyTrainer::InRam(trainer))
-    }
-
-    /// Wraps an already-constructed out-of-core trainer (crate-internal:
-    /// reached through [`PipelineBuilder::partitions`]).
-    ///
-    /// [`PipelineBuilder::partitions`]: crate::api::PipelineBuilder::partitions
-    pub(crate) fn from_partitioned(graph: &'g Graph, trainer: PartitionedTrainer) -> Self {
-        Self::from_any(graph, AnyTrainer::OutOfCore(Box::new(trainer)))
-    }
-
-    fn from_any(graph: &'g Graph, trainer: AnyTrainer) -> Self {
+    /// Wraps an already-constructed trainer (crate-internal: the builder
+    /// and resume paths are the public constructors).
+    pub(crate) fn new(graph: &'g Graph, trainer: Trainer) -> Self {
         Self {
             graph,
             trainer,
@@ -305,9 +261,9 @@ impl<'g> Pipeline<'g> {
     }
 
     /// Resumes a checkpointed run from an `.actk` file, against the same
-    /// graph it was captured on. The engine and thread count are pinned
-    /// by the checkpoint; the continued run is bitwise-identical to
-    /// never having interrupted the original.
+    /// graph it was captured on, in RAM. The trajectory is pinned by the
+    /// checkpoint; the continued run is bitwise-identical to never having
+    /// interrupted the original.
     ///
     /// # Errors
     /// [`Error::Store`] on load/codec failures, [`Error::Core`] when the
@@ -320,22 +276,15 @@ impl<'g> Pipeline<'g> {
     /// entry point when the driver needs the checkpoint's seed or epoch
     /// counts (or to [`Checkpoint::extend_epochs`]) before resuming.
     ///
+    /// The engine follows [`Checkpoint::set_partitions`]: in RAM at 0,
+    /// out of core above it; a sharded checkpoint always resumes on the
+    /// sharded engine at its pinned thread count.
+    ///
     /// # Errors
-    /// [`Error::Core`] when the state is inconsistent or does not match
-    /// `graph`.
+    /// [`Error::Core`] when the state is inconsistent, does not match
+    /// `graph`, or is a sharded checkpoint asked to resume out of core.
     pub fn resume_from(graph: &'g Graph, checkpoint: Checkpoint) -> Result<Self> {
-        // Dispatch on the engine recorded in the checkpoint: out-of-core
-        // captures resume through the partitioned trainer (with the
-        // caller's bucket-count hint — any count continues the same
-        // bitwise trajectory), everything else through the in-RAM facade.
-        let trainer = match checkpoint.state.engine {
-            EngineKind::Partitioned => AnyTrainer::OutOfCore(Box::new(PartitionedTrainer::resume(
-                graph,
-                &checkpoint.state,
-                checkpoint.partitions.max(1),
-            )?)),
-            _ => AnyTrainer::InRam(ShardedTrainer::resume(graph, &checkpoint.state)?),
-        };
+        let trainer = Trainer::resume(graph, &checkpoint.state, checkpoint.partitions)?;
         // Seed the spend from the checkpointed accountant: if every epoch
         // is already done, no epoch event will ever fire to report it.
         let resumed_spend = match &checkpoint.state.accountant {
@@ -345,7 +294,7 @@ impl<'g> Pipeline<'g> {
             }
             None => None,
         };
-        let mut pipeline = Self::from_any(graph, trainer);
+        let mut pipeline = Self::new(graph, trainer);
         pipeline.resumed_spend = resumed_spend;
         Ok(pipeline)
     }
@@ -382,9 +331,15 @@ impl<'g> Pipeline<'g> {
         self
     }
 
-    /// The resolved worker-thread count (1 means the sequential engine).
+    /// The resolved worker-thread count (1 in RAM means the sequential
+    /// engine).
     pub fn threads(&self) -> usize {
         self.trainer.threads()
+    }
+
+    /// The node-bucket count of the out-of-core engine; 0 in RAM.
+    pub fn partitions(&self) -> usize {
+        self.trainer.partitions()
     }
 
     /// The validated configuration this pipeline will run.

@@ -50,8 +50,9 @@
 //! * [`privacy`] — Gaussian mechanism, subsampled-RDP accounting
 //!   (Theorem 4), RDP↔(ε,δ) conversion (Theorem 3), budget stopping;
 //! * [`core`] — the AdvSGM trainer (Algorithm 3) plus the SGM / DP-SGM /
-//!   DP-ASGM / AdvSGM-NoDP ablations, sequential ([`core::Trainer`]) and
-//!   sharded-parallel ([`core::ShardedTrainer`]);
+//!   DP-ASGM / AdvSGM-NoDP ablations behind one front-end
+//!   ([`core::Trainer`]) over the sequential, sharded-parallel and
+//!   out-of-core engines;
 //! * [`parallel`] — the vendored scoped thread pool + chunked parallel-for
 //!   backing the sharded engine;
 //! * [`baselines`] — DPGGAN, DPGVAE, GAP, DPAR;

@@ -107,8 +107,10 @@ train flags:
                         live on disk and at most two bucket partitions are
                         resident at once, bitwise-identical to the in-RAM
                         engines; 0 (the default) trains in RAM. With
-                        --resume this is a residency hint only (any P
-                        continues the checkpointed trajectory exactly)
+                        --resume it sets the residency of a sequential or
+                        out-of-core checkpoint (any P continues its
+                        trajectory exactly); a sharded checkpoint resumes
+                        only in RAM and refuses P > 0
   --checkpoint-every N  write a resumable .actk checkpoint every N epochs
   --checkpoint PATH     checkpoint file (default: <out>.actk)
   --resume PATH         resume a checkpointed run bitwise-exactly; only
@@ -245,7 +247,8 @@ struct TrainArgs {
     graph: Option<String>,
     /// `--partitions`: node buckets for the out-of-core engine; `0`
     /// trains in RAM. Not a model flag — the trajectory is
-    /// partition-invariant, so it is legal alongside `--resume`.
+    /// partition-invariant, so it is legal alongside `--resume` (where a
+    /// sharded checkpoint refuses it).
     partitions: usize,
     builder: PipelineBuilder,
     /// `--epochs`, remembered separately so `--resume` can extend a run.
@@ -953,59 +956,73 @@ fn build_graph(edges: Option<&str>, dataset: &str, scale: f64, seed: u64) -> Res
 }
 
 fn cmd_train(args: TrainArgs) -> Result<(), String> {
+    let (graph, checkpoint) = train_inputs(&args)?;
+    let pipeline = train_pipeline(&args, &graph, checkpoint)?;
+    run_training(&args, pipeline)
+}
+
+/// Loads what a `train` run starts from: the `--resume` checkpoint, if
+/// any (with `--epochs` applied), and the training graph.
+fn train_inputs(args: &TrainArgs) -> Result<(Graph, Option<Checkpoint>), String> {
     let graph_source = args.graph.as_deref().or(args.edges.as_deref());
-    match args.resume.clone() {
-        None => {
-            let graph = build_graph(
-                graph_source,
-                &args.dataset,
-                args.scale,
-                args.builder.config().seed,
-            )?;
-            let pipeline = args
-                .builder
-                .clone()
-                .partitions(args.partitions)
-                .build(&graph)
-                .map_err(|e| e.to_string())?;
-            run_training(&args, pipeline)
-        }
-        Some(resume_path) => {
-            let mut ckpt = Checkpoint::load(&resume_path)
-                .map_err(|e| format!("--resume {resume_path}: {e}"))?;
-            if let Some(e) = args.epochs_explicit {
-                // Extending (or shortening, down to the completed count)
-                // the schedule is the one legal override: batch draws
-                // never depend on the total epoch count.
-                ckpt.extend_epochs(e).map_err(|e| e.to_string())?;
-            }
-            if args.partitions > 0 {
-                // A residency hint only: out-of-core checkpoints resume
-                // under any bucket count, bitwise-exactly.
-                ckpt.set_partitions(args.partitions);
-            }
-            // The graph must be the checkpoint's graph; for synthetic
-            // datasets that means the checkpoint's seed, and resume
-            // re-verifies the stored fingerprint either way.
-            let graph = build_graph(graph_source, &args.dataset, args.scale, ckpt.seed())?;
-            println!(
-                "resumed {resume_path}: {}/{} epochs done, {} discriminator updates",
-                ckpt.epochs_done(),
-                ckpt.config().epochs,
-                ckpt.disc_updates()
-            );
-            let pipeline = Pipeline::resume_from(&graph, ckpt).map_err(|e| e.to_string())?;
-            run_training(&args, pipeline)
-        }
+    let Some(resume_path) = args.resume.as_deref() else {
+        let seed = args.builder.config().seed;
+        let graph = build_graph(graph_source, &args.dataset, args.scale, seed)?;
+        return Ok((graph, None));
+    };
+    let mut ckpt =
+        Checkpoint::load(resume_path).map_err(|e| format!("--resume {resume_path}: {e}"))?;
+    if let Some(e) = args.epochs_explicit {
+        // Extending (or shortening, down to the completed count) the
+        // schedule is the one legal override: batch draws never depend
+        // on the total epoch count.
+        ckpt.extend_epochs(e).map_err(|e| e.to_string())?;
     }
+    // The graph must be the checkpoint's graph; for synthetic datasets
+    // that means the checkpoint's seed, and resume re-verifies the stored
+    // fingerprint either way.
+    let graph = build_graph(graph_source, &args.dataset, args.scale, ckpt.seed())?;
+    println!(
+        "resumed {resume_path}: {}/{} epochs done, {} discriminator updates",
+        ckpt.epochs_done(),
+        ckpt.config().epochs,
+        ckpt.disc_updates()
+    );
+    Ok((graph, Some(ckpt)))
+}
+
+/// Stands up the `train` pipeline at the `--partitions` residency: a
+/// fresh build, or a resume of `checkpoint` (a sharded checkpoint refuses
+/// `--partitions` with a typed error).
+fn train_pipeline<'g>(
+    args: &TrainArgs,
+    graph: &'g Graph,
+    checkpoint: Option<Checkpoint>,
+) -> Result<Pipeline<'g>, String> {
+    let pipeline = match checkpoint {
+        None => args
+            .builder
+            .clone()
+            .partitions(args.partitions)
+            .build(graph),
+        Some(mut ckpt) => {
+            ckpt.set_partitions(args.partitions);
+            Pipeline::resume_from(graph, ckpt)
+        }
+    };
+    pipeline.map_err(|e| e.to_string())
 }
 
 /// Drives a (fresh or resumed) pipeline to completion with progress +
 /// checkpoint reporting, then persists the released store.
 fn run_training(args: &TrainArgs, pipeline: Pipeline<'_>) -> Result<(), String> {
     let cfg = pipeline.config().clone();
+    let residency = match pipeline.partitions() {
+        0 => String::new(),
+        p => format!(", {p} partitions"),
+    };
     println!(
-        "training {} (dim {}, {} epochs, batch {}, lr {}, {} thread(s))...",
+        "training {} (dim {}, {} epochs, batch {}, lr {}, {} thread(s){residency})...",
         cfg.variant.paper_name(),
         cfg.dim,
         cfg.epochs,
@@ -1565,6 +1582,52 @@ mod tests {
                 "{flag}: {err}"
             );
         }
+    }
+
+    #[test]
+    fn resume_honours_partitions_or_refuses_them_typed() {
+        let dir = std::env::temp_dir().join(format!("advsgm_cli_resume_p_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).display().to_string();
+        let model = "--scale 0.05 --seed 3 --epsilon 100 --dim 8 --batch-size 32";
+        let train = |cmd: String| cmd_train(parse_train(&toks(&cmd)).unwrap());
+
+        // A sequential checkpoint resumes out of core at --partitions 4
+        // and lands on the uninterrupted run's bytes.
+        let full = path("full.aemb");
+        train(format!("--out {full} --epochs 4 --threads 1 {model}")).unwrap();
+        let seq = path("seq.aemb");
+        train(format!(
+            "--out {seq} --epochs 2 --threads 1 --checkpoint-every 2 {model}"
+        ))
+        .unwrap();
+        let resumed = path("resumed.aemb");
+        let args = parse_train(&toks(&format!(
+            "--out {resumed} --resume {seq}.actk --epochs 4 --partitions 4 --scale 0.05"
+        )))
+        .unwrap();
+        let (graph, ckpt) = train_inputs(&args).unwrap();
+        let pipeline = train_pipeline(&args, &graph, ckpt).unwrap();
+        assert_eq!(pipeline.partitions(), 4, "the hint must not be dropped");
+        run_training(&args, pipeline).unwrap();
+        assert_eq!(
+            std::fs::read(&full).unwrap(),
+            std::fs::read(&resumed).unwrap()
+        );
+
+        // A sharded checkpoint cannot resume out of core: a typed error.
+        let sharded = path("sharded.aemb");
+        train(format!(
+            "--out {sharded} --epochs 2 --threads 2 --checkpoint-every 2 {model}"
+        ))
+        .unwrap();
+        let err = train(format!(
+            "--out {resumed} --resume {sharded}.actk --partitions 2 --scale 0.05"
+        ))
+        .unwrap_err();
+        assert!(err.contains("cannot resume checkpoint"), "{err}");
+        assert!(err.contains("sharded"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     // ---- audit ----

@@ -5,7 +5,7 @@
 //! serialisation path, including the reported `epsilon`/`delta` spend.
 
 use advsgm::core::session::{CheckpointState, EpochEvent, SessionControl, TrainHooks};
-use advsgm::core::{AdvSgmConfig, CoreError, ModelVariant, ShardedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, CoreError, ModelVariant, Trainer};
 use advsgm::graph::generators::classic::karate_club;
 use advsgm::graph::Graph;
 use advsgm::store::{decode_checkpoint, encode_checkpoint, StoreError};
@@ -65,13 +65,13 @@ fn assert_resume_is_bitwise_exact(threads: usize) {
     let g = karate_club();
     let cfg = test_cfg(threads);
     let epochs = cfg.epochs;
-    let full = ShardedTrainer::fit(&g, cfg.clone()).unwrap();
+    let full = Trainer::fit(&g, cfg.clone()).unwrap();
     assert_eq!(full.epochs_run, epochs, "fixture must run every epoch");
 
     // k = 1 (first), mid, and the last epoch.
     for k in [1usize, epochs / 2 + 1, epochs] {
         let mut hook = InterruptAt::new(k);
-        let partial = ShardedTrainer::new(&g, cfg.clone())
+        let partial = Trainer::new(&g, cfg.clone(), 0)
             .unwrap()
             .train_with_hooks(&g, &mut hook)
             .unwrap();
@@ -83,7 +83,7 @@ fn assert_resume_is_bitwise_exact(threads: usize) {
         // struct, must carry the full contract.
         let wire = encode_checkpoint(&state).unwrap();
         let restored = decode_checkpoint(&wire).unwrap();
-        let resumed = ShardedTrainer::resume(&g, &restored)
+        let resumed = Trainer::resume(&g, &restored, 0)
             .unwrap()
             .train(&g)
             .unwrap();
@@ -136,7 +136,7 @@ fn resume_reproduces_a_budget_stop_exactly() {
     // earlier checkpoint must stop at the same update with the same
     // spend, bit for bit.
     let g = karate_club();
-    let mut cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
+    let mut cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm).with_threads(1);
     cfg.epochs = 50;
     // Short epochs with the paper's sigma: epoch 1 completes (one
     // checkpointable boundary) and the budget trips mid-epoch 2.
@@ -151,12 +151,12 @@ fn resume_reproduces_a_budget_stop_exactly() {
     );
 
     let mut hook = InterruptAt::new(1);
-    Trainer::new(&g, cfg)
+    Trainer::new(&g, cfg, 0)
         .unwrap()
-        .run_with_hooks(&g, &mut hook)
+        .train_with_hooks(&g, &mut hook)
         .unwrap();
     let state = hook.taken.expect("checkpoint captured");
-    let resumed = Trainer::resume(&g, &state).unwrap().run(&g).unwrap();
+    let resumed = Trainer::resume(&g, &state, 0).unwrap().train(&g).unwrap();
     assert!(resumed.stopped_by_budget);
     assert_eq!(full.disc_updates, resumed.disc_updates);
     assert_eq!(full.epochs_run, resumed.epochs_run);
@@ -171,56 +171,56 @@ fn resume_reproduces_a_budget_stop_exactly() {
 fn sequential_and_sharded_checkpoints_resume_on_their_own_engine() {
     let g = karate_club();
     let mut hook = InterruptAt::new(1);
-    ShardedTrainer::new(&g, test_cfg(4))
+    Trainer::new(&g, test_cfg(4), 0)
         .unwrap()
         .train_with_hooks(&g, &mut hook)
         .unwrap();
     let sharded_state = hook.taken.unwrap();
     assert_eq!(sharded_state.config.num_threads, 4, "resolved width pinned");
-    // A sharded checkpoint cannot be resumed by the sequential facade...
-    let err = Trainer::resume(&g, &sharded_state)
+    // A sharded checkpoint cannot resume out of core...
+    let err = Trainer::resume(&g, &sharded_state, 2)
         .err()
         .expect("must fail");
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
-    // ...but dispatches correctly through ShardedTrainer::resume.
-    assert_eq!(
-        ShardedTrainer::resume(&g, &sharded_state)
-            .unwrap()
-            .threads(),
-        4
-    );
+    // ...but resumes in RAM on the sharded engine at its pinned width.
+    let resumed = Trainer::resume(&g, &sharded_state, 0).unwrap();
+    assert_eq!((resumed.threads(), resumed.partitions()), (4, 0));
 
     let mut hook = InterruptAt::new(1);
-    Trainer::new(&g, test_cfg(0))
+    Trainer::new(&g, test_cfg(1), 0)
         .unwrap()
-        .run_with_hooks(&g, &mut hook)
+        .train_with_hooks(&g, &mut hook)
         .unwrap();
     let seq_state = hook.taken.unwrap();
-    // A sequential checkpoint resumes sequentially even through the
-    // sharded facade (the engine is pinned, not re-resolved).
-    assert_eq!(ShardedTrainer::resume(&g, &seq_state).unwrap().threads(), 1);
+    // A sequential checkpoint resumes on the sequential trajectory, at
+    // the residency asked for.
+    let in_ram = Trainer::resume(&g, &seq_state, 0).unwrap();
+    assert_eq!((in_ram.threads(), in_ram.partitions()), (1, 0));
+    assert_eq!(Trainer::resume(&g, &seq_state, 3).unwrap().partitions(), 3);
 }
 
 #[test]
 fn resume_rejects_the_wrong_graph() {
     let g = karate_club();
     let mut hook = InterruptAt::new(1);
-    Trainer::new(&g, test_cfg(0))
+    Trainer::new(&g, test_cfg(1), 0)
         .unwrap()
-        .run_with_hooks(&g, &mut hook)
+        .train_with_hooks(&g, &mut hook)
         .unwrap();
     let state = hook.taken.unwrap();
 
     // Different size: rejected on the counts.
     let smaller = Graph::from_parts(g.num_nodes(), g.edges()[..g.num_edges() - 1].to_vec(), None);
-    let err = Trainer::resume(&smaller, &state).err().expect("must fail");
+    let err = Trainer::resume(&smaller, &state, 0)
+        .err()
+        .expect("must fail");
     assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
 
     // Same size, different edges: rejected on the fingerprint.
     let mut edges = g.edges().to_vec();
     edges.swap(0, 1);
     let reordered = Graph::from_parts(g.num_nodes(), edges, None);
-    let err = Trainer::resume(&reordered, &state)
+    let err = Trainer::resume(&reordered, &state, 0)
         .err()
         .expect("must fail");
     assert!(
@@ -233,7 +233,7 @@ fn resume_rejects_the_wrong_graph() {
 fn wire_corruption_is_typed_never_a_panic() {
     let g = karate_club();
     let mut hook = InterruptAt::new(2);
-    ShardedTrainer::new(&g, test_cfg(2))
+    Trainer::new(&g, test_cfg(2), 0)
         .unwrap()
         .train_with_hooks(&g, &mut hook)
         .unwrap();
@@ -275,18 +275,15 @@ fn extending_epochs_on_resume_matches_a_longer_run() {
         long_cfg.epochs = 5;
 
         let mut hook = InterruptAt::new(2);
-        ShardedTrainer::new(&g, short_cfg)
+        Trainer::new(&g, short_cfg, 0)
             .unwrap()
             .train_with_hooks(&g, &mut hook)
             .unwrap();
         let mut state = hook.taken.unwrap();
         state.config.epochs = 5;
 
-        let extended = ShardedTrainer::resume(&g, &state)
-            .unwrap()
-            .train(&g)
-            .unwrap();
-        let full = ShardedTrainer::fit(&g, long_cfg).unwrap();
+        let extended = Trainer::resume(&g, &state, 0).unwrap().train(&g).unwrap();
+        let full = Trainer::fit(&g, long_cfg).unwrap();
         assert_eq!(
             bits(&full.node_vectors),
             bits(&extended.node_vectors),

@@ -5,11 +5,13 @@
 //! resident embedding memory stays bounded by two bucket partitions
 //! (slot-pool high-water mark ≤ 2). Checkpoints taken by the partitioned
 //! engine resume bitwise-exactly through the `.actk` wire format, under
-//! a *different* partition count than they were captured with.
+//! a *different* partition count than they were captured with — and,
+//! because sequential and partitioned checkpoints record the same
+//! trajectory, on the other engine as well.
 
 use advsgm::api::{ModelVariant as ApiVariant, PipelineBuilder};
 use advsgm::core::session::{CheckpointState, EpochEvent, SessionControl, TrainHooks};
-use advsgm::core::{AdvSgmConfig, ModelVariant, PartitionedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, ModelVariant, TrainOutcome, Trainer};
 use advsgm::graph::generators::classic::karate_club;
 use advsgm::store::{decode_checkpoint, encode_checkpoint};
 
@@ -39,7 +41,7 @@ fn partitioned_matches_sequential_bitwise_for_every_p_and_thread_count() {
 
     for threads in [1usize, 4] {
         for p in [1usize, 2, 4] {
-            let trainer = PartitionedTrainer::new(&g, test_cfg(threads), p).unwrap();
+            let trainer = Trainer::new(&g, test_cfg(threads), p).unwrap();
             let stats = trainer.slot_stats();
             let out = trainer.train(&g).unwrap();
 
@@ -173,7 +175,7 @@ fn partitioned_checkpoints_resume_bitwise_under_any_partition_count() {
 
         for k in [1usize, epochs / 2 + 1, epochs] {
             let mut hook = InterruptAt { at: k, taken: None };
-            let partial = PartitionedTrainer::new(&g, cfg.clone(), 2)
+            let partial = Trainer::new(&g, cfg.clone(), 2)
                 .unwrap()
                 .train_with_hooks(&g, &mut hook)
                 .unwrap();
@@ -186,7 +188,7 @@ fn partitioned_checkpoints_resume_bitwise_under_any_partition_count() {
             // part of the trajectory.
             let wire = encode_checkpoint(&state).unwrap();
             let restored = decode_checkpoint(&wire).unwrap();
-            let resumed = PartitionedTrainer::resume(&g, &restored, 3)
+            let resumed = Trainer::resume(&g, &restored, 3)
                 .unwrap()
                 .train(&g)
                 .unwrap();
@@ -264,5 +266,120 @@ fn api_resume_dispatches_partitioned_checkpoints() {
         baseline.spend().unwrap().epsilon_spent.to_bits(),
         resumed.spend().unwrap().epsilon_spent.to_bits()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every outcome field that crosses the release boundary, bit for bit.
+fn assert_same_release(full: &TrainOutcome, got: &TrainOutcome, tag: &str) {
+    assert_eq!(
+        bits(&full.node_vectors),
+        bits(&got.node_vectors),
+        "{tag}: node vectors"
+    );
+    assert_eq!(
+        bits(&full.context_vectors),
+        bits(&got.context_vectors),
+        "{tag}: context vectors"
+    );
+    assert_eq!(
+        fbits(&full.epoch_losses),
+        fbits(&got.epoch_losses),
+        "{tag}: epoch losses"
+    );
+    assert_eq!(full.disc_updates, got.disc_updates, "{tag}");
+    assert_eq!(
+        full.epsilon_spent.map(f64::to_bits),
+        got.epsilon_spent.map(f64::to_bits),
+        "{tag}: epsilon_spent"
+    );
+    assert_eq!(
+        full.delta_spent.map(f64::to_bits),
+        got.delta_spent.map(f64::to_bits),
+        "{tag}: delta_spent"
+    );
+}
+
+/// Sequential and partitioned checkpoints hold the same state, so each
+/// resumes on the other engine: a sequential checkpoint at `P = 3`, and a
+/// partitioned checkpoint captured at four threads back in RAM with
+/// `partitions = 0`. The second case must run sequentially — resolving
+/// the engine afresh from the pinned `num_threads = 4` would pick the
+/// sharded engine and leave the sequential trajectory.
+#[test]
+fn sequential_and_partitioned_checkpoints_resume_across_engines() {
+    let g = karate_club();
+    for v in ModelVariant::all() {
+        let cfg = |threads: usize| {
+            let mut cfg = test_cfg(threads);
+            cfg.variant = v;
+            cfg
+        };
+        let full = Trainer::fit(&g, cfg(1)).unwrap();
+        assert_eq!(full.epochs_run, 5, "{v}: fixture must run every epoch");
+
+        // (captured with threads, captured with P, resumed with P)
+        for (threads, from_p, to_p) in [(1usize, 0usize, 3usize), (4, 2, 0)] {
+            let mut hook = InterruptAt { at: 2, taken: None };
+            Trainer::new(&g, cfg(threads), from_p)
+                .unwrap()
+                .train_with_hooks(&g, &mut hook)
+                .unwrap();
+            let state = hook.taken.expect("checkpoint captured");
+            assert_eq!(state.config.num_threads, threads, "{v}: width pinned");
+            let restored = decode_checkpoint(&encode_checkpoint(&state).unwrap()).unwrap();
+            let trainer = Trainer::resume(&g, &restored, to_p).unwrap();
+            let tag = format!("{v} threads={threads} P={from_p}->{to_p}");
+            assert_eq!(trainer.partitions(), to_p, "{tag}: residency");
+            assert_same_release(&full, &trainer.train(&g).unwrap(), &tag);
+        }
+    }
+}
+
+/// The `set_partitions` hint through the api: a sequential checkpoint
+/// honours it (and still releases the uninterrupted run's bytes), while
+/// a sharded checkpoint refuses to resume out of core with a typed error.
+#[test]
+fn api_resume_honours_or_refuses_the_partition_hint() {
+    use advsgm::api::{Checkpoint, Error, Pipeline};
+    use advsgm::core::CoreError;
+
+    let g = karate_club();
+    let dir = std::env::temp_dir().join("advsgm_ooc_equivalence_api_hint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let builder = |threads: usize, epochs: usize| {
+        PipelineBuilder::test_small(ApiVariant::AdvSgm)
+            .threads(threads)
+            .seed(11)
+            .epochs(epochs)
+    };
+    let baseline = builder(1, 4).build(&g).unwrap().train().unwrap();
+
+    for threads in [1usize, 2] {
+        let path = dir.join(format!("t{threads}.actk"));
+        builder(threads, 2)
+            .build(&g)
+            .unwrap()
+            .keep_checkpoint()
+            .train()
+            .unwrap()
+            .save_checkpoint(&path)
+            .unwrap();
+        let mut ckpt = Checkpoint::load(&path).unwrap();
+        ckpt.extend_epochs(4).unwrap();
+        ckpt.set_partitions(4);
+        let resumed = Pipeline::resume_from(&g, ckpt);
+        if threads == 1 {
+            let pipeline = resumed.unwrap();
+            assert_eq!(pipeline.partitions(), 4, "the hint must not be dropped");
+            let trained = pipeline.train().unwrap();
+            assert_eq!(baseline.release_bytes(), trained.release_bytes());
+        } else {
+            let err = resumed.expect_err("sharded checkpoints stay in RAM");
+            assert!(
+                matches!(err, Error::Core(CoreError::Checkpoint { .. })),
+                "{err}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -2,11 +2,11 @@
 //! exact `.aemb` roundtrips, typed rejection of corrupted files, and the
 //! thread-count invariance of batched serving (DESIGN.md §9).
 
-use advsgm::core::{AdvSgmConfig, ModelVariant, ShardedTrainer, Trainer};
+use advsgm::core::{AdvSgmConfig, ModelVariant, Trainer};
 use advsgm::graph::generators::sbm::{degree_corrected_sbm, SbmConfig};
 use advsgm::linalg::rng::seeded;
 use advsgm::linalg::DenseMatrix;
-use advsgm::store::{EmbeddingStore, ExportEmbeddings, PrivacyMeta, StoreError};
+use advsgm::store::{EmbeddingStore, PrivacyMeta, StoreError};
 use proptest::prelude::*;
 
 fn small_graph() -> advsgm::graph::Graph {
@@ -23,6 +23,12 @@ fn small_graph() -> advsgm::graph::Graph {
     )
 }
 
+/// Trains in RAM and releases the node vectors stamped with the spend.
+fn release(g: &advsgm::graph::Graph, cfg: AdvSgmConfig) -> EmbeddingStore {
+    let outcome = Trainer::fit(g, cfg.clone()).unwrap();
+    EmbeddingStore::from_outcome(&outcome, &cfg).unwrap()
+}
+
 fn bits(m: &DenseMatrix) -> Vec<u64> {
     m.as_slice().iter().map(|x| x.to_bits()).collect()
 }
@@ -31,7 +37,7 @@ fn bits(m: &DenseMatrix) -> Vec<u64> {
 fn trained_store_roundtrips_bitwise_through_disk() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let path = std::env::temp_dir().join("advsgm_it_roundtrip.aemb");
     store.save(&path).unwrap();
     let back = EmbeddingStore::load(&path).unwrap();
@@ -55,7 +61,7 @@ fn exported_store_serves_the_training_graph() {
     cfg.epochs = 10;
     cfg.disc_iters = 20;
     cfg.batch_size = 64;
-    let store = ShardedTrainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let served = EmbeddingStore::from_bytes(&store.to_bytes()).unwrap();
     let mut pos = 0.0;
     for e in g.edges() {
@@ -82,7 +88,7 @@ fn exported_store_serves_the_training_graph() {
 fn batch_top_k_is_thread_count_invariant() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let queries: Vec<usize> = (0..store.len()).collect();
     let base = store.batch_top_k(&queries, 7, 1).unwrap();
     for threads in [2usize, 4, 8] {
@@ -105,7 +111,7 @@ fn batch_top_k_is_thread_count_invariant() {
 fn corrupted_and_truncated_files_fail_with_typed_errors() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::Sgm);
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let bytes = store.to_bytes();
 
     // Header corruption: flipped byte inside the fixed header.
@@ -157,7 +163,7 @@ fn corrupted_and_truncated_files_fail_with_typed_errors() {
 fn load_expecting_guards_dimension() {
     let g = small_graph();
     let cfg = AdvSgmConfig::test_small(ModelVariant::Sgm); // dim 16
-    let store = Trainer::new(&g, cfg).unwrap().export(&g).unwrap();
+    let store = release(&g, cfg);
     let path = std::env::temp_dir().join("advsgm_it_dim.aemb");
     store.save(&path).unwrap();
     assert!(EmbeddingStore::load_expecting(&path, 16).is_ok());
@@ -176,7 +182,7 @@ fn load_expecting_guards_dimension() {
 fn empty_graph_cannot_export_and_empty_store_roundtrips() {
     // Training rejects an edgeless graph before export begins...
     let g = advsgm::graph::Graph::from_parts(4, vec![], None);
-    assert!(Trainer::new(&g, AdvSgmConfig::test_small(ModelVariant::Sgm)).is_err());
+    assert!(Trainer::new(&g, AdvSgmConfig::test_small(ModelVariant::Sgm), 0).is_err());
     // ...but an empty *store* is a well-defined artifact that roundtrips.
     let empty = EmbeddingStore::new(
         DenseMatrix::zeros(0, 8),
