@@ -6,7 +6,8 @@
 //!
 //! 1. **Golden regression** — the five pre-seam variants release bytes
 //!    bitwise-identical to the committed `tests/golden/*.aemb` files at 1
-//!    and 4 threads (the seam's uniform path changed *nothing*);
+//!    and 4 threads (the seam's uniform path changed *nothing*), and both
+//!    workload variants match their own one-thread goldens;
 //! 2. **Engine invariance** — both new variants obey the same contract as
 //!    the paper variants: partitioned == sequential bitwise, sharded@N
 //!    run-to-run deterministic with the sequential spend;
@@ -57,19 +58,27 @@ fn planted_polarity() -> Graph {
 
 /// The five pre-seam variants must produce release bytes identical to the
 /// `.aemb` files committed before the variants seam landed — at one thread
-/// (sequential engine) and four (sharded engine). Uniform weighting and the
-/// empty sign channel are contractually invisible.
+/// (sequential trajectory) and four (sharded engine). Uniform weighting and
+/// the empty sign channel are contractually invisible. The two workload
+/// variants are pinned the same way at one thread: `Signed-AdvSGM` on the
+/// planted-polarity graph, `SP-AdvSGM` on the karate club.
 #[test]
 fn pre_seam_variants_match_golden_releases() {
-    let graph = karate_club();
-    for v in [
+    let (karate, polarity) = (karate_club(), planted_polarity());
+    let pre_seam = [
         ModelVariant::Sgm,
         ModelVariant::DpSgm,
         ModelVariant::DpAsgm,
         ModelVariant::AdvSgm,
         ModelVariant::AdvSgmNoDp,
-    ] {
-        for threads in [1usize, 4] {
+    ]
+    .map(|v| (v, &karate, &[1usize, 4][..]));
+    let workload = [
+        (ModelVariant::SignedAdvSgm, &polarity, &[1usize][..]),
+        (ModelVariant::SpAdvSgm, &karate, &[1usize][..]),
+    ];
+    for (v, graph, widths) in pre_seam.into_iter().chain(workload) {
+        for &threads in widths {
             let stem = v
                 .to_string()
                 .to_ascii_lowercase()
@@ -78,7 +87,7 @@ fn pre_seam_variants_match_golden_releases() {
             let golden = std::fs::read(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
             let trained = PipelineBuilder::test_small(v)
                 .threads(threads)
-                .build(&graph)
+                .build(graph)
                 .unwrap()
                 .train()
                 .unwrap();
