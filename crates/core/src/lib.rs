@@ -18,17 +18,18 @@
 //! gradient identity `grad = clip(dL_sgm/dv + v') + N(C^2 sigma^2 I)`,
 //! per-batch privacy accounting through `advsgm-privacy`, and the
 //! stopping rule of lines 9–11. The schedule exists exactly once
-//! (`session::run_schedule`) and executes through one of three engine
-//! strategies behind the one front-end, [`trainer::Trainer`]: the
-//! sequential engine, the sharded producer/worker engine (Algorithm 2
-//! batch production on a dedicated thread, per-pair clipped gradients in
-//! thread-local shards, a deterministic shard-order reduction; run-to-run
-//! deterministic at any thread count), and the out-of-core partitioned
-//! engine (embedding partitions swapped through a two-slot pool with a
-//! disk spill store, bitwise-identical to the sequential engine at every
-//! partition and thread count). One function picks the engine from the
-//! partition count and thread width, or from a resumed checkpoint's
-//! trajectory (DESIGN.md §7). The session layer also provides
+//! (`session::run_schedule`) and executes through one of two engine
+//! strategies, one per trajectory, behind the one front-end,
+//! [`trainer::Trainer`]: the sequential engine, which trains in RAM at
+//! `partitions = 0` and out of core at `partitions >= 1` (embedding
+//! partitions swapped through a two-slot pool with a disk spill store,
+//! bitwise-identical at every partition and thread count), and the
+//! sharded producer/worker engine (Algorithm 2 batch production on a
+//! dedicated thread, per-pair clipped gradients in thread-local shards, a
+//! deterministic shard-order reduction; run-to-run deterministic at any
+//! thread count). One function picks the engine from the partition count
+//! and thread width, or from a resumed checkpoint's trajectory
+//! (DESIGN.md §7). The session layer also provides
 //! [`session::TrainHooks`] (epoch-boundary observability) and
 //! [`session::CheckpointState`] (bitwise-exact checkpoint/resume).
 //!

@@ -8,23 +8,22 @@
 //! iteration counts, accounting (`record_and_check`), budget stop,
 //! epoch-loss recording, and [`TrainOutcome`] assembly, while the
 //! *execution* of each step is delegated to an
-//! `Engine` strategy with exactly three implementations:
+//! `Engine` strategy with exactly two implementations, one per trajectory:
 //!
-//! * `sequential::SequentialEngine` — single-threaded step execution on
-//!   one interleaved RNG stream (the sequential trajectory);
+//! * `partitioned::PartitionedEngine` — the sequential trajectory: one
+//!   interleaved RNG stream in program order. Its partition count picks
+//!   the residency: `P = 0` trains `core.emb` in place, `P >= 1` swaps
+//!   embedding partitions through a two-slot pool spilled to disk
+//!   (DESIGN.md §14). Every step *replays* the same draws and
+//!   floating-point accumulation order, so the trajectory is
+//!   bitwise-identical at every partition count and thread count.
 //! * `sharded::ShardedEngine` — the producer/worker execution of
 //!   DESIGN.md §7 (Algorithm-2 production one iteration ahead, per-shard
-//!   RNG streams, deterministic shard-order reduction);
-//! * `partitioned::PartitionedEngine` — the out-of-core execution of
-//!   DESIGN.md §14: embedding partitions swap through a two-slot pool
-//!   (spilling to disk) while every step *replays* the sequential
-//!   engine's RNG draws and floating-point accumulation order, so its
-//!   trajectory is bitwise-identical to the sequential engine's at any
-//!   partition count and thread count.
+//!   RNG streams, deterministic shard-order reduction).
 //!
 //! [`Trainer`](crate::Trainer) is the one front-end: a session core plus
-//! the engine its selection rule picked. The engine trait and all three
-//! implementations are deliberately crate-private, so a fourth loop
+//! the engine its selection rule picked. The engine trait and both
+//! implementations are deliberately crate-private, so a third loop
 //! cannot appear without touching this layer.
 //!
 //! # Observability: [`TrainHooks`]
@@ -70,12 +69,11 @@ use crate::trainer::TrainOutcome;
 use crate::variants::ModelVariant;
 
 pub(crate) mod partitioned;
-pub(crate) mod sequential;
 pub(crate) mod sharded;
 
 /// Stream tag for the init RNG. Both engines initialise parameters from
 /// this stream so they start from identical matrices; the sequential
-/// engine then *continues* the stream through training.
+/// trajectory then *continues* the stream through training.
 pub(crate) const STREAM_INIT: u64 = 0xAD5;
 /// Stream tag for the sharded producer thread's Algorithm 2 sampling.
 pub(crate) const STREAM_SAMPLER: u64 = 0x5A11;
@@ -159,7 +157,10 @@ pub(crate) const APPLY_TILE_BYTES: usize = 16 * 1024;
 /// with [`backend::fused_axpy_scale`] (the shared `noise` vector stays
 /// hot in L1 across the whole tile) and pass 2 hands the finished rows to
 /// `step` in ascending row order, so the embedding matrix is walked
-/// mostly sequentially instead of in hash order.
+/// mostly sequentially instead of in hash order. Ascending rows are also
+/// grouped by ascending node bucket, so an out-of-core `step` that
+/// acquires its row's bucket loads each bucket once; its error stops the
+/// apply.
 ///
 /// Bitwise-neutral by construction: rows are independent (`RowAcc` keys
 /// are distinct), each row's arithmetic —
@@ -167,7 +168,11 @@ pub(crate) const APPLY_TILE_BYTES: usize = 16 * 1024;
 /// per-row sequence the engines performed before tiling, and
 /// `fused_axpy_scale` is on the bitwise kernel tier. Only the *order
 /// across rows* changes, which no row's result depends on.
-pub(crate) fn apply_noisy_updates(acc: RowAcc, noise: &[f64], mut step: impl FnMut(usize, &[f64])) {
+pub(crate) fn apply_noisy_updates(
+    acc: RowAcc,
+    noise: &[f64],
+    mut step: impl FnMut(usize, &[f64]) -> Result<(), CoreError>,
+) -> Result<(), CoreError> {
     let dim = noise.len().max(1);
     let tile_rows = (APPLY_TILE_BYTES / (dim * std::mem::size_of::<f64>())).max(1);
     let mut rows: Vec<(usize, (Vec<f64>, usize))> = acc.into_iter().collect();
@@ -177,9 +182,10 @@ pub(crate) fn apply_noisy_updates(acc: RowAcc, noise: &[f64], mut step: impl FnM
             backend::fused_axpy_scale(g, *c as f64, noise, 1.0 / *c as f64);
         }
         for (row, (g, _)) in tile.iter() {
-            step(*row, g);
+            step(*row, g)?;
         }
     }
+    Ok(())
 }
 
 /// Adds one pair's gradient into a row accumulator.
@@ -244,8 +250,8 @@ impl PairCtx {
 /// non-unit pair weight scales the gradient *after* the clip, so each
 /// summand's sensitivity stays `<= C` and the accountant is unchanged.
 /// Lives here — once — so the gradient math can never drift between the
-/// sequential and sharded engines. `fakes` is `None` exactly for the
-/// non-adversarial variants.
+/// two engines. `fakes` is `None` exactly for the non-adversarial
+/// variants.
 pub(crate) fn clipped_pair_grads(
     kind: SigmoidKind,
     variant: ModelVariant,
@@ -397,23 +403,19 @@ impl TrainHooks for NoHooks {
     }
 }
 
-/// Which execution engine a checkpoint was captured from — persisted as
-/// the `.actk` engine code. The engines follow two trajectories:
-/// sequential and partitioned checkpoints hold the same state and resume
-/// interchangeably on either engine (the caller's partition count picks
-/// the residency), while a sharded checkpoint resumes only on the sharded
-/// engine at its pinned width.
+/// Which trajectory a checkpoint was captured from — persisted as the
+/// `.actk` engine code. A sequential checkpoint resumes at whatever
+/// residency the caller asks for (the partition count, including 0 for
+/// in RAM); a sharded checkpoint resumes only on the sharded engine at
+/// its pinned width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
-    /// Single-threaded in-RAM step execution (the sequential trajectory).
+    /// The sequential trajectory, in RAM or out of core (one interleaved
+    /// RNG stream).
     Sequential,
     /// The sharded producer/worker execution at `threads > 1`; the thread
     /// count travels in the checkpoint's `config.num_threads`.
     Sharded,
-    /// The out-of-core partition-swapping execution. It replays the
-    /// sequential trajectory, so its checkpoints are interchangeable with
-    /// sequential ones across partition counts, including 0 (in RAM).
-    Partitioned,
 }
 
 /// A complete training checkpoint: everything the remaining epochs depend
@@ -459,11 +461,10 @@ pub struct CheckpointState {
     pub gen_for_j: DenseMatrix,
     /// The RDP accountant's accumulated state (private variants only).
     pub accountant: Option<AccountantState>,
-    /// Which engine captured this state.
+    /// Which trajectory captured this state.
     pub engine: EngineKind,
     /// Engine-owned RNG stream positions, in the engine's fixed order:
-    /// sequential `[main]`; sharded `[producer, epoch-loss]`;
-    /// partitioned `[main]` (it replays the sequential stream).
+    /// sequential `[main]`; sharded `[producer, epoch-loss]`.
     pub rng_streams: Vec<[u64; 4]>,
     /// The edge sampler's index permutation at the boundary — the batch
     /// provider's only hidden mutable state.
@@ -510,18 +511,19 @@ pub(crate) struct EngineStreams {
 
 /// The execution strategy behind the one Algorithm-3 schedule.
 ///
-/// Exactly three implementations exist —
-/// [`sequential::SequentialEngine`], [`sharded::ShardedEngine`], and
-/// [`partitioned::PartitionedEngine`] — and [`run_schedule`] is their
-/// only driver. An engine executes *steps*; it never sees the epoch
+/// Exactly two implementations exist —
+/// [`partitioned::PartitionedEngine`] (the sequential trajectory) and
+/// [`sharded::ShardedEngine`] — and [`run_schedule`] is their only
+/// driver. An engine executes *steps*; it never sees the epoch
 /// structure, iteration counts, accounting, or stopping rule.
 ///
-/// Step methods are fallible because the out-of-core engine performs
-/// spill I/O inside a step; the in-RAM engines always return `Ok`.
+/// Step methods are fallible because the out-of-core residency performs
+/// spill I/O inside a step; in RAM they always return `Ok`.
 pub(crate) trait Engine {
     /// Which engine this is (persisted in checkpoints).
     fn kind(&self) -> EngineKind;
-    /// The resolved worker-thread count (1 for sequential).
+    /// The resolved worker-thread count (1 for the sequential engine in
+    /// RAM).
     fn threads(&self) -> usize;
     /// Produces the next discriminator batch in the fixed schedule order
     /// (positive, negative, positive, negative, ...).
@@ -534,8 +536,8 @@ pub(crate) trait Engine {
     fn epoch_loss(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<f64, CoreError>;
     /// Writes any engine-resident model state back into `core` so that
     /// `core.emb` is authoritative (checkpoint capture, outcome
-    /// assembly). No-op for the in-RAM engines, which mutate `core.emb`
-    /// directly; the out-of-core engine materialises its partitions here.
+    /// assembly). No-op in RAM, where the engines mutate `core.emb`
+    /// directly; out of core the partitions are materialised here.
     fn sync_core(&mut self, core: &mut SessionCore) -> Result<(), CoreError> {
         let _ = core;
         Ok(())
@@ -580,8 +582,8 @@ impl SessionCore {
     /// Builds a fresh session: validates the configuration, initialises
     /// parameters from the shared init stream, and constructs the batch
     /// provider. Returns the provider and the *post-init* RNG for the
-    /// engine (the sequential engine continues this stream; the sharded
-    /// engine discards it and derives its own).
+    /// engine (the sequential trajectory continues this stream; the
+    /// sharded engine discards it and derives its own).
     pub(crate) fn new(
         graph: &Graph,
         cfg: AdvSgmConfig,
@@ -702,7 +704,7 @@ impl SessionCore {
             ));
         }
         let expected_streams = match state.engine {
-            EngineKind::Sequential | EngineKind::Partitioned => 1,
+            EngineKind::Sequential => 1,
             EngineKind::Sharded => 2,
         };
         if state.rng_streams.len() != expected_streams {

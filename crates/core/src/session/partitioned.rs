@@ -1,41 +1,54 @@
-//! The partitioned [`Engine`]: out-of-core execution (DESIGN.md §14).
+//! The sequential trajectory's one [`Engine`], at every residency
+//! (DESIGN.md §10, §14).
 //!
-//! Executes the same Algorithm-3 steps as the sequential engine while
-//! keeping at most **two** embedding partitions in memory — one `W_in`
-//! bucket and one `W_out` bucket — swapped through a fixed-size slot pool
-//! that spills evicted partitions to disk. The headline contract is
-//! *bitwise identity*: at a fixed seed the released embeddings, epoch
-//! losses, and privacy spend are identical to the sequential trainer's
-//! for every partition count and thread count.
+//! One `SmallRng` (the continuation of the init stream) drives sampling,
+//! fake-neighbor generation and noise draws in program order, so the
+//! whole trajectory is a pure function of the seed. The discriminator
+//! update implements Theorem 6 literally: per pair the released direction
+//! is `clip(dL_sgm/dv + v')` and a per-batch noise vector
+//! `N(0, (C sigma)^2 I)` rides along each summand (Eqs. 22–23), with the
+//! per-row touch-count normalisation of DESIGN.md §5.
 //!
-//! That identity holds because every step is a *replay* of the sequential
-//! step, split into three phases:
+//! The partition count `P` picks where the embedding rows live:
+//!
+//! * `P = 0` — in RAM: `core.emb` is read and written in place. There is
+//!   no spill directory, no file I/O, no snapshot copy and no thread pool.
+//! * `P >= 1` — out of core: at most **two** embedding partitions are in
+//!   memory — one `W_in` bucket and one `W_out` bucket — swapped through
+//!   a fixed-size slot pool that spills evicted partitions to disk.
+//!
+//! The released embeddings, epoch losses and privacy spend are bitwise
+//! identical for every partition count and thread count, because every
+//! step runs in three phases:
 //!
 //! 1. **Phase A (draw)** — all RNG-consuming work (batch sampling, fake
-//!    neighbors, noise vectors) runs on the single sequential stream in
-//!    the sequential engine's exact program order. Embedding *reads*
-//!    consume no randomness, so deferring them cannot shift a draw.
-//! 2. **Phase B (compute)** — per-pair work is grouped by the bucket
-//!    pair it touches (a `BTreeMap` keyed by `(bucket(i), bucket(j))`,
-//!    i.e. the row-major bucket-pair schedule with empty pairs skipped);
-//!    each group acquires its two slots once and computes *pure* per-item
-//!    results, stored back at the item's original batch index. The
-//!    results are chunk-invariant, so a thread pool may compute them.
+//!    neighbors, noise vectors) runs on the one stream in program order.
+//!    Embedding *reads* consume no randomness, so deferring them cannot
+//!    shift a draw.
+//! 2. **Phase B (compute)** — each item's *pure* result is computed from
+//!    the rows it reads. Out of core the items are grouped by the bucket
+//!    pair they touch (a `BTreeMap` keyed by `(bucket(i), bucket(j))`,
+//!    i.e. the row-major bucket-pair schedule with empty pairs skipped)
+//!    and each group acquires its two slots once; the results are
+//!    chunk-invariant, so a thread pool may compute them. In RAM every
+//!    row is resident and there is nothing to group.
 //! 3. **Phase C (fold)** — the floating-point accumulations (per-row
-//!    gradient sums, the loss fold) run over the per-item results in
-//!    original batch order — exactly the association the sequential
-//!    engine uses.
+//!    gradient sums, the loss fold) take the per-item results in original
+//!    batch order, whatever the grouping; in RAM each result is folded as
+//!    soon as it is computed. The generator step, which needs no
+//!    batch-wide draw, goes further in RAM and folds each sample as soon
+//!    as it is drawn.
 //!
-//! All embedding reads in a step see the pre-update snapshot (the
-//! sequential engine also reads everything before writing anything), and
-//! the final apply updates each touched row exactly once with identical
-//! arithmetic ([`step_row`]), so apply order across distinct rows is
-//! immaterial — grouping the applies by bucket is free.
+//! All embedding reads in a step see the pre-update state, and the final
+//! apply updates each touched row exactly once with identical arithmetic
+//! ([`step_row`]), so apply order across distinct rows is immaterial —
+//! the ascending-row apply visits each bucket once.
 //!
 //! The generator tables and the graph's edge list stay RAM-resident: the
 //! embedding matrices dominate the model's footprint (two dense
-//! `n x r` matrices against the generators' two), and the scope of this
-//! engine is bounding *embedding* residency; see DESIGN.md §14.
+//! `n x r` matrices against the generators' two), and the scope of the
+//! out-of-core residency is bounding *embedding* residency; see
+//! DESIGN.md §14.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -57,9 +70,10 @@ use crate::model::generator::FakeNeighbor;
 use crate::model::Embeddings;
 use crate::sampler::{BatchProvider, DiscBatch};
 use crate::session::{
-    accumulate, clipped_pair_grads, gradient_noise_std, Engine, EngineKind, EngineStreams, PairCtx,
-    PairFakes, RowAcc, SessionCore,
+    accumulate, apply_noisy_updates, clipped_pair_grads, gradient_noise_std, Engine, EngineKind,
+    EngineStreams, PairCtx, PairFakes, RowAcc, SessionCore,
 };
+use crate::sigmoid::SigmoidKind;
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
 
@@ -96,14 +110,13 @@ struct Slot {
     dirty: bool,
 }
 
-/// Observability counters for the partitioned engine's two-slot pool.
+/// Observability counters for the out-of-core two-slot pool.
 ///
 /// Obtained *before* training consumes the trainer (the handle is
 /// `Arc`-shared with the engine), so tests and callers can assert the
 /// residency bound after the run:
 /// [`SlotPoolStats::high_water`] never exceeds 2 — one `W_in` partition
-/// plus one `W_out` partition. Every counter stays 0 for the in-RAM
-/// engines.
+/// plus one `W_out` partition. Every counter stays 0 in RAM.
 #[derive(Debug, Default)]
 pub struct SlotPoolStats {
     resident: AtomicUsize,
@@ -280,14 +293,6 @@ impl PartitionedEmbeddings {
         &s.rows[off..off + self.dim]
     }
 
-    fn in_row(&self, node: usize) -> &[f64] {
-        self.row(Role::In, node)
-    }
-
-    fn out_row(&self, node: usize) -> &[f64] {
-        self.row(Role::Out, node)
-    }
-
     /// Write access to a row whose bucket is resident; marks the slot
     /// dirty so eviction writes it back.
     fn row_mut(&mut self, role: Role, node: usize) -> &mut [f64] {
@@ -346,60 +351,112 @@ fn empty_embeddings() -> Embeddings {
     Embeddings::from_parts(DenseMatrix::zeros(0, 0), DenseMatrix::zeros(0, 0))
 }
 
-/// Maps `f` over `items`, preserving order; uses the pool when present.
-/// Results are independent of the chunking, so thread count cannot change
-/// them.
-fn map_indexed<T, R>(
-    pool: &mut Option<ThreadPool>,
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    match pool {
-        Some(p) => {
-            let chunk_len = items.len().div_ceil(p.threads()).max(1);
-            p.map_chunks(items, chunk_len, |_k, offset, chunk| {
-                chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| f(offset + i, item))
-                    .collect::<Vec<R>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect()
+/// Where the engine's embedding rows live.
+enum Residency {
+    /// `P = 0`: `core.emb` is read and written in place. Acquisition is a
+    /// no-op and nothing touches disk.
+    InRam,
+    /// `P >= 1`: the buckets swap through the two-slot pool.
+    Spilled(Box<PartitionedEmbeddings>),
+}
+
+impl Residency {
+    /// Makes `bucket` of `role` readable and writable; a no-op in RAM.
+    fn acquire(&mut self, role: Role, bucket: usize) -> Result<(), CoreError> {
+        match self {
+            Residency::InRam => Ok(()),
+            Residency::Spilled(parts) => parts.acquire(role, bucket),
         }
-        None => items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| f(i, item))
-            .collect(),
+    }
+
+    /// Read access to the acquired rows; `emb` is `core.emb`.
+    fn rows<'a>(&'a self, emb: &'a Embeddings) -> Rows<'a> {
+        let parts = match self {
+            Residency::InRam => None,
+            Residency::Spilled(parts) => Some(&**parts),
+        };
+        Rows { emb, parts }
+    }
+
+    /// One descent step ([`step_row`]) on an acquired row of `role`.
+    fn step(
+        &mut self,
+        emb: &mut Embeddings,
+        role: Role,
+        node: usize,
+        eta: f64,
+        grad: &[f64],
+        project: bool,
+    ) {
+        match (self, role) {
+            (Residency::InRam, Role::In) => emb.step_input(node, eta, grad, project),
+            (Residency::InRam, Role::Out) => emb.step_output(node, eta, grad, project),
+            (Residency::Spilled(parts), role) => {
+                step_row(parts.row_mut(role, node), eta, grad, project)
+            }
+        }
     }
 }
 
-/// Out-of-core step execution replaying the sequential trajectory
-/// (module docs have the phase structure and determinism argument).
+/// Read access to acquired rows: the slot pool out of core, `core.emb`
+/// in RAM.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    emb: &'a Embeddings,
+    parts: Option<&'a PartitionedEmbeddings>,
+}
+
+impl<'a> Rows<'a> {
+    fn input(self, node: usize) -> &'a [f64] {
+        match self.parts {
+            Some(parts) => parts.row(Role::In, node),
+            None => self.emb.input(node),
+        }
+    }
+
+    fn output(self, node: usize) -> &'a [f64] {
+        match self.parts {
+            Some(parts) => parts.row(Role::Out, node),
+            None => self.emb.output(node),
+        }
+    }
+}
+
+/// A generator sample's upstream gradient `c * v` (Eq. 17) for the real
+/// row `v` it pairs with its fake, under the shared noise vector.
+fn generator_upstream(kind: SigmoidKind, v: &[f64], fake: &[f64], noise: &[f64]) -> Vec<f64> {
+    let (s_fake, s_noise) = backend::dot2(v, fake, noise);
+    // d/ds [ln(1 - S(s))] = -S'/(1-S).
+    let c = -kind.neg_log_one_minus_grad(s_fake + s_noise);
+    vector::scaled(c, v)
+}
+
+/// The sequential trajectory's engine at every residency (module docs
+/// have the phase structure and determinism argument).
 pub(crate) struct PartitionedEngine {
-    /// Algorithm-2 batch provisioning, identical to the sequential engine's.
+    /// Algorithm-2 batch provisioning.
     provider: BatchProvider,
-    /// The one RNG stream, in the sequential engine's draw order.
+    /// The one RNG stream: init-stream continuation, interleaving
+    /// sampling, fakes and noise in program order.
     rng: SmallRng,
     /// The negative half of a sampled iteration, buffered between the two
-    /// `next_batch` calls of one discriminator iteration.
+    /// `next_batch` calls of one discriminator iteration (both batches are
+    /// drawn together so the RNG order matches `sample_disc_iteration`).
     pending_neg: Option<DiscBatch>,
-    /// The bucketed embeddings behind the two-slot pool.
-    parts: PartitionedEmbeddings,
+    /// `P` node buckets out of core; in RAM one bucket spanning every
+    /// node, whose acquisition is a no-op.
+    buckets: NodeBuckets,
+    residency: Residency,
     /// Worker pool for Phase-B computation; `None` runs serially.
     pool: Option<ThreadPool>,
     threads: usize,
 }
 
 impl PartitionedEngine {
-    /// Steals `core.emb` into the slot pool (leaving an empty placeholder)
-    /// and wraps the provider plus the post-init RNG stream.
+    /// Wraps the provider and the post-init (or restored) RNG stream.
+    /// `partitions = 0` trains `core.emb` in place on one thread;
+    /// `partitions >= 1` steals it into the slot pool (leaving an empty
+    /// placeholder) and spills it to disk.
     pub(crate) fn new(
         core: &mut SessionCore,
         provider: BatchProvider,
@@ -407,39 +464,196 @@ impl PartitionedEngine {
         partitions: usize,
         stats: Arc<SlotPoolStats>,
     ) -> Result<Self, CoreError> {
-        let threads = core.cfg.effective_threads();
-        let buckets = NodeBuckets::new(core.emb.num_nodes(), partitions)?;
-        let emb = std::mem::replace(&mut core.emb, empty_embeddings());
-        let parts = PartitionedEmbeddings::new(emb, buckets, stats)?;
+        let buckets = NodeBuckets::new(core.emb.num_nodes(), partitions.max(1))?;
+        let (residency, threads) = if partitions == 0 {
+            (Residency::InRam, 1)
+        } else {
+            let emb = std::mem::replace(&mut core.emb, empty_embeddings());
+            let parts = PartitionedEmbeddings::new(emb, buckets, stats)?;
+            (
+                Residency::Spilled(Box::new(parts)),
+                core.cfg.effective_threads(),
+            )
+        };
         let pool = (threads > 1).then(|| ThreadPool::new(threads));
         Ok(Self {
             provider,
             rng,
             pending_neg: None,
-            parts,
+            buckets,
+            residency,
             pool,
             threads,
         })
     }
 
-    /// The number of node buckets `P`.
+    /// The number of node buckets `P`; 0 in RAM.
     pub(crate) fn partitions(&self) -> usize {
-        self.parts.buckets.count()
+        match self.residency {
+            Residency::InRam => 0,
+            Residency::Spilled(_) => self.buckets.count(),
+        }
     }
 
     /// Drops the full-matrix copy a checkpoint's [`Engine::sync_core`]
     /// left in `core.emb`, restoring the two-partition residency bound.
-    /// The slots and spill files remain authoritative throughout.
-    fn reclaim(core: &mut SessionCore) {
-        if core.emb.num_nodes() != 0 {
+    /// Out of core the slots and spill files remain authoritative
+    /// throughout; in RAM `core.emb` is the model and stays.
+    fn reclaim(&self, core: &mut SessionCore) {
+        if matches!(self.residency, Residency::Spilled(_)) && core.emb.num_nodes() != 0 {
             core.emb = empty_embeddings();
         }
+    }
+
+    /// Phases B and C of a step over items `0..count`. In RAM every row
+    /// is resident, so each item is computed and folded in turn. Out of
+    /// core the items are grouped by the buckets `key` names, in ascending
+    /// key order (the row-major bucket schedule with empty groups
+    /// skipped); per group, `acquire` makes the buckets resident and `f`
+    /// computes each item's pure result from the resident rows, on the
+    /// pool when there is one. Either way `fold` receives every result in
+    /// ascending item order, the step's fixed floating-point association;
+    /// a result waits only while an earlier item is missing.
+    fn compute_in_order<K: Ord, R: Send>(
+        &mut self,
+        emb: &Embeddings,
+        count: usize,
+        key: impl Fn(usize) -> K,
+        acquire: impl Fn(&mut Residency, &K) -> Result<(), CoreError>,
+        f: impl Fn(Rows<'_>, usize) -> R + Sync,
+        mut fold: impl FnMut(usize, R),
+    ) -> Result<(), CoreError> {
+        if let Residency::InRam = self.residency {
+            let rows = self.residency.rows(emb);
+            for idx in 0..count {
+                fold(idx, f(rows, idx));
+            }
+            return Ok(());
+        }
+        let mut groups: BTreeMap<K, Vec<usize>> = BTreeMap::new();
+        for idx in 0..count {
+            groups.entry(key(idx)).or_default().push(idx);
+        }
+        let mut pending: Vec<Option<R>> = (0..count).map(|_| None).collect();
+        let mut next = 0;
+        let mut sink = |idx: usize, r: R| {
+            pending[idx] = Some(r);
+            while let Some(r) = pending.get_mut(next).and_then(Option::take) {
+                fold(next, r);
+                next += 1;
+            }
+        };
+        for (key, idxs) in &groups {
+            acquire(&mut self.residency, key)?;
+            let rows = self.residency.rows(emb);
+            match &mut self.pool {
+                Some(pool) => {
+                    // Results are independent of the chunking, so the
+                    // thread count cannot change them.
+                    let chunk_len = idxs.len().div_ceil(pool.threads()).max(1);
+                    let chunks = pool.map_chunks(idxs, chunk_len, |_k, _offset, chunk| {
+                        chunk.iter().map(|&idx| f(rows, idx)).collect::<Vec<R>>()
+                    });
+                    for (&idx, r) in idxs.iter().zip(chunks.into_iter().flatten()) {
+                        sink(idx, r);
+                    }
+                }
+                None => {
+                    for &idx in idxs {
+                        sink(idx, f(rows, idx));
+                    }
+                }
+            }
+        }
+        debug_assert!(pending.iter().all(Option::is_none), "every item folded");
+        Ok(())
+    }
+
+    /// `|L_Nov|` under `mode` on one fresh batch, replayed through the
+    /// order-fixed fold split of [`crate::loss`]: the epoch diagnostic,
+    /// and the Fig. 2 harness's post-training evaluation.
+    pub(crate) fn replay_loss(
+        &mut self,
+        core: &mut SessionCore,
+        graph: &Graph,
+        mode: WeightMode,
+    ) -> Result<f64, CoreError> {
+        self.reclaim(core);
+        let (pos, pos_signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
+        let negs = self.provider.negatives(&pos, &mut self.rng);
+        // Same panic point as `novel_loss_batch`, before any draw.
+        assert!(!pos.is_empty(), "need at least one positive pair");
+        let r = core.cfg.dim;
+        let noise_std = gradient_noise_std(&core.cfg);
+        let n1 = gaussian_vec(&mut self.rng, noise_std.max(0.0), r);
+        let n2 = gaussian_vec(&mut self.rng, noise_std.max(0.0), r);
+
+        // Phase A: fresh fakes per positive, in batch order.
+        let mut fakes: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(pos.len());
+        for e in &pos {
+            let fake_j = core.gens.for_i.generate(e.v().index(), &mut self.rng).v;
+            let fake_i = core.gens.for_j.generate(e.u().index(), &mut self.rng).v;
+            fakes.push((fake_j, fake_i));
+        }
+
+        // Phases B and C: per-pair scalar terms grouped by bucket pair,
+        // collected in batch order for the order-fixed fold.
+        let b = self.buckets;
+        let both = |res: &mut Residency, &(bu, bv): &(usize, usize)| {
+            res.acquire(Role::In, bu)?;
+            res.acquire(Role::Out, bv)
+        };
+        let mut terms: Vec<PositiveTerms> = Vec::with_capacity(pos.len());
+        self.compute_in_order(
+            &core.emb,
+            pos.len(),
+            |idx| {
+                let e = &pos[idx];
+                (b.bucket_of(e.u().index()), b.bucket_of(e.v().index()))
+            },
+            both,
+            |rows, idx| {
+                let e = &pos[idx];
+                positive_terms(
+                    rows.input(e.u().index()),
+                    rows.output(e.v().index()),
+                    &fakes[idx].0,
+                    &fakes[idx].1,
+                    &n1,
+                    &n2,
+                    pos_signs.get(idx).copied().unwrap_or(false),
+                )
+            },
+            |_, t| terms.push(t),
+        )?;
+        let mut neg_dots: Vec<f64> = Vec::with_capacity(negs.len());
+        self.compute_in_order(
+            &core.emb,
+            negs.len(),
+            |idx| {
+                let p = &negs[idx];
+                (
+                    b.bucket_of(p.source.index()),
+                    b.bucket_of(p.negative.index()),
+                )
+            },
+            both,
+            |rows, idx| {
+                let p = &negs[idx];
+                negative_dot(
+                    rows.input(p.source.index()),
+                    rows.output(p.negative.index()),
+                )
+            },
+            |_, d| neg_dots.push(d),
+        )?;
+        Ok(fold_novel_loss(core.kind, mode, &terms, &neg_dots).abs())
     }
 }
 
 impl Engine for PartitionedEngine {
     fn kind(&self) -> EngineKind {
-        EngineKind::Partitioned
+        EngineKind::Sequential
     }
 
     fn threads(&self) -> usize {
@@ -457,11 +671,12 @@ impl Engine for PartitionedEngine {
         }
     }
 
-    /// One discriminator update, replayed (module docs): fakes and noise
-    /// in Phase A, clipped per-pair gradients per bucket pair in Phase B,
-    /// pair-order accumulation in Phase C, per-bucket apply.
+    /// One discriminator update (Algorithm 3 line 8), replayed (module
+    /// docs): fakes and noise in Phase A, clipped per-pair gradients per
+    /// bucket pair in Phase B, pair-order accumulation in Phase C, then
+    /// the tiled apply.
     fn disc_update(&mut self, core: &mut SessionCore, batch: &DiscBatch) -> Result<(), CoreError> {
-        Self::reclaim(core);
+        self.reclaim(core);
         let r = core.cfg.dim;
         let variant = core.cfg.variant;
         let clip = core.cfg.clip;
@@ -474,7 +689,13 @@ impl Engine for PartitionedEngine {
         debug_assert!(count > 0, "empty batch");
 
         // Phase A: fake neighbors and batch means, in pair order on the
-        // one stream — exactly the sequential engine's draw sequence.
+        // one stream. For AdvSGM the augment uses the *centered* fake
+        // `v' - mean(v')` as a control variate, so the common component of
+        // the generator output (which would drift every touched row
+        // identically and crush the skip-gram signal inside the clip)
+        // cancels, while the per-node structure the generator learned
+        // passes through. Centering subtracts a pair-independent constant,
+        // so Theorem 6's sensitivity/noise argument is unchanged.
         let adversarial = variant.is_adversarial();
         let mut fakes_j: Vec<Vec<f64>> = Vec::new();
         let mut fakes_i: Vec<Vec<f64>> = Vec::new();
@@ -493,108 +714,97 @@ impl Engine for PartitionedEngine {
             vector::scale(&mut mean_i, 1.0 / count as f64);
         }
 
-        // Phase B: group pairs by the bucket pair they read, acquire the
-        // two slots per group, and compute each pair's clipped gradients
-        // (pure, RNG-free) back into its original index.
-        let buckets = self.parts.buckets;
-        let mut groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (idx, &(i, j)) in batch.pairs.iter().enumerate() {
-            groups
-                .entry((buckets.bucket_of(i), buckets.bucket_of(j)))
-                .or_default()
-                .push(idx);
-        }
+        // Phase B: each pair's clipped gradients (pure, RNG-free), per
+        // bucket pair; Phase C: per-row sums in original pair order — the
+        // load-bearing floating-point association.
+        let b = self.buckets;
         let kind = core.kind;
-        let mut grads: Vec<Option<(Vec<f64>, Vec<f64>)>> = vec![None; count];
-        for (&(bi, bj), idxs) in &groups {
-            self.parts.acquire(Role::In, bi)?;
-            self.parts.acquire(Role::Out, bj)?;
-            let parts = &self.parts;
-            let pairs = &batch.pairs;
-            let (fakes_j, fakes_i) = (&fakes_j, &fakes_i);
-            let (mean_j, mean_i) = (&mean_j, &mean_i);
-            let computed = map_indexed(&mut self.pool, idxs, |_pos, &idx| {
-                let (i, j) = pairs[idx];
+        let mut acc_in: RowAcc = HashMap::new();
+        let mut acc_out: RowAcc = HashMap::new();
+        self.compute_in_order(
+            &core.emb,
+            count,
+            |idx| {
+                let (i, j) = batch.pairs[idx];
+                (b.bucket_of(i), b.bucket_of(j))
+            },
+            |res, &(bi, bj)| {
+                res.acquire(Role::In, bi)?;
+                res.acquire(Role::Out, bj)
+            },
+            |rows, idx| {
+                let (i, j) = batch.pairs[idx];
                 let pair_fakes = adversarial.then(|| PairFakes {
                     fake_j: &fakes_j[idx],
                     fake_i: &fakes_i[idx],
-                    mean_j,
-                    mean_i,
+                    mean_j: &mean_j,
+                    mean_i: &mean_i,
                 });
                 clipped_pair_grads(
                     kind,
                     variant,
                     clip,
                     PairCtx::of(batch, idx),
-                    parts.in_row(i),
-                    parts.out_row(j),
+                    rows.input(i),
+                    rows.output(j),
                     pair_fakes,
                 )
-            });
-            for (&idx, g) in idxs.iter().zip(computed) {
-                grads[idx] = Some(g);
-            }
-        }
+            },
+            |idx, (gi, gj)| {
+                let (i, j) = batch.pairs[idx];
+                accumulate(&mut acc_in, i, gi);
+                accumulate(&mut acc_out, j, gj);
+            },
+        )?;
 
-        // Phase C: accumulate per-row sums in original pair order — the
-        // sequential engine's exact floating-point association.
-        let mut acc_in: RowAcc = HashMap::new();
-        let mut acc_out: RowAcc = HashMap::new();
-        for (idx, &(i, j)) in batch.pairs.iter().enumerate() {
-            let (gi, gj) = grads[idx].take().expect("every pair computed");
-            accumulate(&mut acc_in, i, gi);
-            accumulate(&mut acc_out, j, gj);
-        }
-
-        // Apply, grouped by bucket so each slot is acquired once. Every
-        // touched row is updated exactly once with the sequential
-        // arithmetic, and distinct-row updates commute, so this ordering
-        // is bitwise-equivalent to the sequential apply.
+        // Apply the noisy updates with the per-row touch-count
+        // normalisation (DESIGN.md §5). Rows arrive in ascending order,
+        // hence grouped by ascending bucket, so each slot is acquired once;
+        // every touched row is updated exactly once, and distinct-row
+        // updates commute.
         let eta = core.cfg.eta_d;
         let project = core.cfg.project_rows && variant != ModelVariant::Sgm;
-        type BucketRows = BTreeMap<usize, Vec<(usize, (Vec<f64>, usize))>>;
         for (role, acc, noise) in [(Role::In, acc_in, &n_in), (Role::Out, acc_out, &n_out)] {
-            let mut by_bucket: BucketRows = BTreeMap::new();
-            for (node, entry) in acc {
-                by_bucket
-                    .entry(buckets.bucket_of(node))
-                    .or_default()
-                    .push((node, entry));
-            }
-            for (b, mut rows) in by_bucket {
-                self.parts.acquire(role, b)?;
-                // Ascending row order within the bucket (DESIGN.md §15):
-                // the resident slot is walked mostly sequentially. Rows
-                // are distinct, so order across them is bitwise-neutral.
-                rows.sort_unstable_by_key(|&(node, _)| node);
-                for (node, (mut g, c)) in rows {
-                    backend::fused_axpy_scale(&mut g, c as f64, noise, 1.0 / c as f64);
-                    step_row(self.parts.row_mut(role, node), eta, &g, project);
-                }
-            }
+            let (residency, emb) = (&mut self.residency, &mut core.emb);
+            apply_noisy_updates(acc, noise, |node, g| {
+                residency.acquire(role, b.bucket_of(node))?;
+                residency.step(emb, role, node, eta, g, project);
+                Ok(())
+            })?;
         }
         Ok(())
     }
 
-    /// One generator iteration, replayed: sampling and fake generation in
-    /// Phase A (per sample: edge, orientation, `f1`, `f2` — the
-    /// sequential order, since nothing between them draws), embedding
-    /// gathers per single-role bucket group in Phase B, sample-order
-    /// gradient accumulation in Phase C. No embedding is written.
+    /// One generator iteration (Algorithm 3 lines 14–18, Eq. 17),
+    /// replayed: sampling and fake generation in Phase A (per sample:
+    /// edge, orientation, `f1`, `f2`), upstream gradients per single-role
+    /// bucket group in Phase B, sample-order gradient accumulation in
+    /// Phase C. No embedding is written.
     fn generator_update(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<(), CoreError> {
-        Self::reclaim(core);
+        self.reclaim(core);
         let r = core.cfg.dim;
         let sample_count = core.cfg.batch_size * (core.cfg.negatives + 1);
+        // Activation-input noise only exists in the full AdvSGM loss.
         let noise_std = gradient_noise_std(&core.cfg);
         let ng1 = gaussian_vec(&mut self.rng, noise_std, r);
         let ng2 = gaussian_vec(&mut self.rng, noise_std, r);
+        let kind = core.kind;
+        let mut grads_j: RowAcc = HashMap::new();
+        let mut grads_i: RowAcc = HashMap::new();
 
-        // Phase A.
+        // Phase A. `f1` fakes a neighbor of the output-side node t (paired
+        // with the real v_i), `f2` one of the input-side node s (with v_j).
+        // In RAM every row is resident, so each sample runs Phases B and C
+        // as soon as it is drawn and nothing is buffered; out of core the
+        // whole batch is drawn first.
+        let in_ram = matches!(self.residency, Residency::InRam);
         let edges = graph.edges();
-        let mut samples: Vec<(usize, usize, FakeNeighbor, FakeNeighbor)> =
-            Vec::with_capacity(sample_count);
+        let mut ends: Vec<(usize, usize)> = Vec::new();
+        let mut f1s: Vec<FakeNeighbor> = Vec::new();
+        let mut f2s: Vec<FakeNeighbor> = Vec::new();
         for _ in 0..sample_count {
             let e = edges[self.rng.gen_range(0..edges.len())];
+            // Random orientation, matching the discriminator's convention.
             let (s, t) = if self.rng.gen::<bool>() {
                 (e.u().index(), e.v().index())
             } else {
@@ -602,162 +812,66 @@ impl Engine for PartitionedEngine {
             };
             let f1 = core.gens.for_i.generate(t, &mut self.rng);
             let f2 = core.gens.for_j.generate(s, &mut self.rng);
-            samples.push((s, t, f1, f2));
-        }
-
-        // Phase B: gather the embedding rows each sample reads, one
-        // single-role bucket group at a time (v_i needs W_in[s], v_j
-        // needs W_out[t]; a sample's two reads live in unrelated buckets,
-        // so they are gathered in separate passes).
-        let buckets = self.parts.buckets;
-        let mut vi: Vec<Vec<f64>> = vec![Vec::new(); sample_count];
-        let mut vj: Vec<Vec<f64>> = vec![Vec::new(); sample_count];
-        let mut by_s: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut by_t: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (idx, &(s, t, _, _)) in samples.iter().enumerate() {
-            by_s.entry(buckets.bucket_of(s)).or_default().push(idx);
-            by_t.entry(buckets.bucket_of(t)).or_default().push(idx);
-        }
-        for (&b, idxs) in &by_s {
-            self.parts.acquire(Role::In, b)?;
-            for &idx in idxs {
-                vi[idx] = self.parts.in_row(samples[idx].0).to_vec();
-            }
-        }
-        for (&b, idxs) in &by_t {
-            self.parts.acquire(Role::Out, b)?;
-            for &idx in idxs {
-                vj[idx] = self.parts.out_row(samples[idx].1).to_vec();
+            if in_ram {
+                let up1 = generator_upstream(kind, core.emb.input(s), &f1.v, &ng1);
+                core.gens.for_i.accumulate_grad(&f1, &up1, &mut grads_j);
+                let up2 = generator_upstream(kind, core.emb.output(t), &f2.v, &ng2);
+                core.gens.for_j.accumulate_grad(&f2, &up2, &mut grads_i);
+            } else {
+                ends.push((s, t));
+                f1s.push(f1);
+                f2s.push(f2);
             }
         }
 
-        // Phase B continued: per-sample upstream gradients (pure).
-        let kind = core.kind;
-        let (vi, vj) = (&vi, &vj);
-        let (ng1, ng2) = (&ng1, &ng2);
-        let ups = map_indexed(&mut self.pool, &samples, |idx, (_s, _t, f1, f2)| {
-            let (s1_fake, s1_noise) = backend::dot2(&vi[idx], &f1.v, ng1);
-            let s1 = s1_fake + s1_noise;
-            let c1 = -kind.neg_log_one_minus_grad(s1);
-            let up1 = vector::scaled(c1, &vi[idx]);
-            let (s2_fake, s2_noise) = backend::dot2(&vj[idx], &f2.v, ng2);
-            let s2 = s2_fake + s2_noise;
-            let c2 = -kind.neg_log_one_minus_grad(s2);
-            let up2 = vector::scaled(c2, &vj[idx]);
-            (up1, up2)
-        });
-
-        // Phase C: accumulate generator gradients in sample order.
-        let mut grads_j: RowAcc = HashMap::new();
-        let mut grads_i: RowAcc = HashMap::new();
-        for (idx, (_s, _t, f1, f2)) in samples.iter().enumerate() {
-            core.gens
-                .for_i
-                .accumulate_grad(f1, &ups[idx].0, &mut grads_j);
-            core.gens
-                .for_j
-                .accumulate_grad(f2, &ups[idx].1, &mut grads_i);
-        }
+        // Phases B and C out of core: `up1` reads only W_in[s] and `up2`
+        // only W_out[t], so each generator's gradients come from their own
+        // pass over single-role bucket groups, accumulated in sample order.
+        let b = self.buckets;
+        self.compute_in_order(
+            &core.emb,
+            ends.len(),
+            |idx| b.bucket_of(ends[idx].0),
+            |res, &bucket| res.acquire(Role::In, bucket),
+            |rows, idx| generator_upstream(kind, rows.input(ends[idx].0), &f1s[idx].v, &ng1),
+            |idx, up| {
+                core.gens
+                    .for_i
+                    .accumulate_grad(&f1s[idx], &up, &mut grads_j)
+            },
+        )?;
+        drop(f1s);
+        self.compute_in_order(
+            &core.emb,
+            ends.len(),
+            |idx| b.bucket_of(ends[idx].1),
+            |res, &bucket| res.acquire(Role::Out, bucket),
+            |rows, idx| generator_upstream(kind, rows.output(ends[idx].1), &f2s[idx].v, &ng2),
+            |idx, up| {
+                core.gens
+                    .for_j
+                    .accumulate_grad(&f2s[idx], &up, &mut grads_i)
+            },
+        )?;
         core.gens.for_i.step(core.cfg.eta_g, &grads_j);
         core.gens.for_j.step(core.cfg.eta_g, &grads_i);
         Ok(())
     }
 
-    /// Per-epoch `|L_Nov|` on one fresh batch, replayed through the
-    /// order-fixed fold split of [`crate::loss`].
+    /// Per-epoch `|L_Nov|` diagnostic on one fresh batch.
     fn epoch_loss(&mut self, core: &mut SessionCore, graph: &Graph) -> Result<f64, CoreError> {
-        Self::reclaim(core);
-        let (pos, pos_signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
-        let negs = self.provider.negatives(&pos, &mut self.rng);
         let mode = if core.cfg.variant.is_adversarial() {
             WeightMode::InverseS
         } else {
             WeightMode::Fixed(0.0)
         };
-        // Same panic point as `novel_loss_batch`, before any draw.
-        assert!(!pos.is_empty(), "need at least one positive pair");
-        let r = core.cfg.dim;
-        let noise_std = gradient_noise_std(&core.cfg);
-        let n1 = gaussian_vec(&mut self.rng, noise_std.max(0.0), r);
-        let n2 = gaussian_vec(&mut self.rng, noise_std.max(0.0), r);
-
-        // Phase A: fresh fakes per positive, in batch order.
-        let mut fakes: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(pos.len());
-        for e in &pos {
-            let fake_j = core.gens.for_i.generate(e.v().index(), &mut self.rng).v;
-            let fake_i = core.gens.for_j.generate(e.u().index(), &mut self.rng).v;
-            fakes.push((fake_j, fake_i));
-        }
-
-        // Phase B: per-pair scalar terms, grouped by bucket pair.
-        let buckets = self.parts.buckets;
-        let mut pos_groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (idx, e) in pos.iter().enumerate() {
-            pos_groups
-                .entry((
-                    buckets.bucket_of(e.u().index()),
-                    buckets.bucket_of(e.v().index()),
-                ))
-                .or_default()
-                .push(idx);
-        }
-        let mut terms: Vec<Option<PositiveTerms>> = vec![None; pos.len()];
-        for (&(bu, bv), idxs) in &pos_groups {
-            self.parts.acquire(Role::In, bu)?;
-            self.parts.acquire(Role::Out, bv)?;
-            let parts = &self.parts;
-            let (pos, fakes) = (&pos, &fakes);
-            let (n1, n2) = (&n1, &n2);
-            let pos_signs = &pos_signs;
-            let computed = map_indexed(&mut self.pool, idxs, |_pos, &idx| {
-                let e = &pos[idx];
-                positive_terms(
-                    parts.in_row(e.u().index()),
-                    parts.out_row(e.v().index()),
-                    &fakes[idx].0,
-                    &fakes[idx].1,
-                    n1,
-                    n2,
-                    pos_signs.get(idx).copied().unwrap_or(false),
-                )
-            });
-            for (&idx, t) in idxs.iter().zip(computed) {
-                terms[idx] = Some(t);
-            }
-        }
-        let mut neg_groups: BTreeMap<(usize, usize), Vec<usize>> = BTreeMap::new();
-        for (idx, p) in negs.iter().enumerate() {
-            neg_groups
-                .entry((
-                    buckets.bucket_of(p.source.index()),
-                    buckets.bucket_of(p.negative.index()),
-                ))
-                .or_default()
-                .push(idx);
-        }
-        let mut neg_dots: Vec<f64> = vec![0.0; negs.len()];
-        for (&(bs, bn), idxs) in &neg_groups {
-            self.parts.acquire(Role::In, bs)?;
-            self.parts.acquire(Role::Out, bn)?;
-            for &idx in idxs {
-                let p = &negs[idx];
-                neg_dots[idx] = negative_dot(
-                    self.parts.in_row(p.source.index()),
-                    self.parts.out_row(p.negative.index()),
-                );
-            }
-        }
-
-        // Phase C: the order-fixed fold.
-        let terms: Vec<PositiveTerms> = terms
-            .into_iter()
-            .map(|t| t.expect("every positive computed"))
-            .collect();
-        Ok(fold_novel_loss(core.kind, mode, &terms, &neg_dots).abs())
+        self.replay_loss(core, graph, mode)
     }
 
     fn sync_core(&mut self, core: &mut SessionCore) -> Result<(), CoreError> {
-        core.emb = self.parts.snapshot()?;
+        if let Residency::Spilled(parts) = &self.residency {
+            core.emb = parts.snapshot()?;
+        }
         Ok(())
     }
 

@@ -404,12 +404,13 @@ impl Engine for ShardedEngine<'_> {
         let eta = core.cfg.eta_d;
         let project = core.cfg.project_rows && variant != ModelVariant::Sgm;
         apply_noisy_updates(acc_in, &n_in, |i, g| {
-            core.emb.step_input(i, eta, g, project)
-        });
+            core.emb.step_input(i, eta, g, project);
+            Ok(())
+        })?;
         apply_noisy_updates(acc_out, &n_out, |j, g| {
-            core.emb.step_output(j, eta, g, project)
-        });
-        Ok(())
+            core.emb.step_output(j, eta, g, project);
+            Ok(())
+        })
     }
 
     /// One generator iteration (Algorithm 3 lines 14–18), sharded over the

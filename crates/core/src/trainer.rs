@@ -6,23 +6,25 @@
 //! `session::run_schedule`; the engines only execute steps, and one
 //! function (`select_engine`) decides which engine runs:
 //!
-//! | run | partitions | threads | engine | trajectory |
+//! | run | partitions | threads | engine | residency |
 //! |---|---|---|---|---|
-//! | fresh | `P >= 1` | any | partitioned | sequential |
-//! | fresh | 0 | 1 | sequential | sequential |
-//! | fresh | 0 | `N > 1` | sharded | sharded at `N` |
-//! | resume sequential / partitioned checkpoint | `P >= 1` | — | partitioned | sequential |
-//! | resume sequential / partitioned checkpoint | 0 | — | sequential | sequential |
-//! | resume sharded checkpoint | 0 | pinned `N` | sharded | sharded at `N` |
+//! | fresh | `P >= 1` | any | sequential | out of core, `P` buckets |
+//! | fresh | 0 | 1 | sequential | in RAM |
+//! | fresh | 0 | `N > 1` | sharded at `N` | in RAM |
+//! | resume sequential checkpoint | `P >= 1` | — | sequential | out of core, `P` buckets |
+//! | resume sequential checkpoint | 0 | — | sequential | in RAM |
+//! | resume sharded checkpoint | 0 | pinned `N` | sharded at `N` | in RAM |
 //! | resume sharded checkpoint | `P >= 1` | — | [`CoreError::Checkpoint`] | — |
+//!
+//! Both engines refuse more partitions than the graph has nodes
+//! ([`CoreError::Config`] on `partitions`).
 //!
 //! # Determinism contract
 //!
 //! * The **sequential trajectory** is one function of the seed: the
-//!   sequential engine at one thread and the partitioned engine at every
-//!   `(P, threads)` release bit-for-bit the same embeddings, losses and
-//!   spend, and their checkpoints resume interchangeably
-//!   (`tests/ooc_equivalence.rs`).
+//!   sequential engine releases bit-for-bit the same embeddings, losses
+//!   and spend at every `(P, threads)`, and its checkpoints resume at any
+//!   residency (`tests/ooc_equivalence.rs`).
 //! * The **sharded trajectory** is run-to-run deterministic for a fixed
 //!   `(seed, threads, shard_size)` but differs from the sequential one:
 //!   per-shard RNG streams replace the one interleaved stream. Its
@@ -44,14 +46,11 @@ use rand::rngs::SmallRng;
 
 use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
-use crate::loss::novel_loss_batch;
 use crate::sampler::BatchProvider;
 use crate::session::partitioned::{PartitionedEngine, SlotPoolStats};
-use crate::session::sequential::SequentialEngine;
 use crate::session::sharded::ShardedLaunch;
 use crate::session::{
-    gradient_noise_std, run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore,
-    TrainHooks,
+    run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore, TrainHooks,
 };
 use crate::variants::ModelVariant;
 use crate::weighting::WeightMode;
@@ -82,9 +81,13 @@ pub struct TrainOutcome {
 /// The engine [`select_engine`] picked for a session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Selection {
-    Sequential,
-    Sharded { threads: usize },
-    Partitioned { partitions: usize },
+    /// The sequential trajectory at `partitions` buckets (0 = in RAM).
+    Sequential {
+        partitions: usize,
+    },
+    Sharded {
+        threads: usize,
+    },
 }
 
 /// The one engine-selection rule (module docs have the table).
@@ -92,9 +95,9 @@ enum Selection {
 /// `threads` is the resolved width: [`AdvSgmConfig::effective_threads`]
 /// for a fresh run, the checkpoint's pinned `num_threads` on resume.
 /// `resumed` is the engine code of the checkpoint being resumed, `None`
-/// for a fresh run. Sequential and partitioned checkpoints record the
-/// same trajectory, so they resume with whatever residency the caller
-/// asks for and are never re-resolved from their pinned thread count.
+/// for a fresh run. A sequential checkpoint resumes with whatever
+/// residency the caller asks for and is never re-resolved from its pinned
+/// thread count.
 fn select_engine(
     partitions: usize,
     threads: usize,
@@ -103,25 +106,37 @@ fn select_engine(
     let refuse = |reason: String| Err(CoreError::Checkpoint { reason });
     match resumed {
         Some(EngineKind::Sharded) if partitions > 0 => refuse(format!(
-            "a sharded checkpoint resumes only in RAM; the partitioned engine \
+            "a sharded checkpoint resumes only in RAM; the sequential engine \
              cannot replay its per-shard streams (asked for {partitions} partitions)"
         )),
         Some(EngineKind::Sharded) if threads < 2 => refuse(format!(
             "sharded checkpoint records {threads} thread(s); need >= 2"
         )),
         Some(EngineKind::Sharded) => Ok(Selection::Sharded { threads }),
-        _ if partitions > 0 => Ok(Selection::Partitioned { partitions }),
-        Some(_) => Ok(Selection::Sequential),
-        None if threads > 1 => Ok(Selection::Sharded { threads }),
-        None => Ok(Selection::Sequential),
+        None if partitions == 0 && threads > 1 => Ok(Selection::Sharded { threads }),
+        _ => Ok(Selection::Sequential { partitions }),
     }
+}
+
+/// Refuses more partitions than `graph` has nodes: every bucket past the
+/// last node would still cost two spill files.
+fn check_partitions(graph: &Graph, partitions: usize) -> Result<(), CoreError> {
+    if partitions > graph.num_nodes() {
+        return Err(CoreError::Config {
+            field: "partitions",
+            reason: format!(
+                "{partitions} partitions exceed the graph's {} nodes",
+                graph.num_nodes()
+            ),
+        });
+    }
+    Ok(())
 }
 
 /// The engine a [`Trainer`] drives.
 enum TrainEngine {
-    Sequential(SequentialEngine),
+    Sequential(PartitionedEngine),
     Sharded(ShardedLaunch),
-    Partitioned(Box<PartitionedEngine>),
 }
 
 /// Trains one model variant on one graph (Algorithm 3) on the engine the
@@ -134,7 +149,7 @@ pub struct Trainer {
 }
 
 /// The out-of-core front-end's former name: [`Trainer::new`] with
-/// `partitions >= 1` is the partitioned engine.
+/// `partitions >= 1` trains out of core.
 pub type PartitionedTrainer = Trainer;
 
 impl Trainer {
@@ -144,9 +159,11 @@ impl Trainer {
     /// node buckets and spills the freshly initialised embeddings to disk.
     ///
     /// # Errors
-    /// Configuration or sampler-construction failures; [`CoreError::Io`]
-    /// when the spill store cannot be created.
+    /// Configuration or sampler-construction failures, including
+    /// [`CoreError::Config`] for more partitions than nodes;
+    /// [`CoreError::Io`] when the spill store cannot be created.
     pub fn new(graph: &Graph, cfg: AdvSgmConfig, partitions: usize) -> Result<Self, CoreError> {
+        check_partitions(graph, partitions)?;
         let selection = select_engine(partitions, cfg.effective_threads(), None)?;
         let (core, provider, rng) = SessionCore::new(graph, cfg)?;
         Self::assemble(core, provider, selection, rng, None)
@@ -156,18 +173,19 @@ impl Trainer {
     /// [`TrainHooks::on_checkpoint`]; running the result is
     /// bitwise-identical to never having interrupted the original run.
     /// `partitions` is the residency asked for, as in [`Trainer::new`]:
-    /// sequential and partitioned checkpoints honour it, sharded ones
-    /// resume in RAM at their pinned width and refuse `partitions >= 1`.
+    /// sequential checkpoints honour it, sharded ones resume in RAM at
+    /// their pinned width and refuse `partitions >= 1`.
     ///
     /// # Errors
     /// [`CoreError::Checkpoint`] when the state is inconsistent, does not
     /// match `graph`, or is a sharded checkpoint asked to resume out of
-    /// core.
+    /// core; [`CoreError::Config`] for more partitions than nodes.
     pub fn resume(
         graph: &Graph,
         state: &CheckpointState,
         partitions: usize,
     ) -> Result<Self, CoreError> {
+        check_partitions(graph, partitions)?;
         let selection = select_engine(partitions, state.config.num_threads, Some(state.engine))?;
         // `SessionCore::resume` checks the stream count against the engine code.
         let (core, provider) = SessionCore::resume(graph, state)?;
@@ -189,7 +207,9 @@ impl Trainer {
     ) -> Result<Self, CoreError> {
         let stats = Arc::new(SlotPoolStats::default());
         let engine = match selection {
-            Selection::Sequential => TrainEngine::Sequential(SequentialEngine::new(provider, rng)),
+            Selection::Sequential { partitions } => TrainEngine::Sequential(
+                PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))?,
+            ),
             // A fresh sharded run drops `rng`: it derives its own streams
             // from the seed and shares only the parameter initialisation.
             Selection::Sharded { threads } => TrainEngine::Sharded(ShardedLaunch {
@@ -197,9 +217,6 @@ impl Trainer {
                 threads,
                 streams: resumed.map(|s| [s[0], s[1]]),
             }),
-            Selection::Partitioned { partitions } => TrainEngine::Partitioned(Box::new(
-                PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))?,
-            )),
         };
         Ok(Self {
             core,
@@ -215,20 +232,20 @@ impl Trainer {
         &self.core.cfg
     }
 
-    /// The worker-thread count of the selected engine (1 for sequential).
+    /// The worker-thread count of the selected engine (1 for the
+    /// sequential engine in RAM).
     pub fn threads(&self) -> usize {
         match &self.engine {
             TrainEngine::Sequential(e) => e.threads(),
             TrainEngine::Sharded(l) => l.threads,
-            TrainEngine::Partitioned(e) => e.threads(),
         }
     }
 
-    /// The node-bucket count of the out-of-core engine; 0 in RAM.
+    /// The node-bucket count out of core; 0 in RAM.
     pub fn partitions(&self) -> usize {
         match &self.engine {
-            TrainEngine::Partitioned(e) => e.partitions(),
-            _ => 0,
+            TrainEngine::Sequential(e) => e.partitions(),
+            TrainEngine::Sharded(_) => 0,
         }
     }
 
@@ -280,14 +297,14 @@ impl Trainer {
             mut core, engine, ..
         } = self;
         match engine {
-            TrainEngine::Sequential(mut e) => run_schedule(&mut core, &mut e, graph, hooks)?,
-            TrainEngine::Sharded(launch) => launch.run(&mut core, graph, hooks)?,
-            TrainEngine::Partitioned(mut e) => {
-                run_schedule(&mut core, e.as_mut(), graph, hooks)?;
-                // Materialise the final embeddings from the slot pool and
-                // spill store; until here `core.emb` is a placeholder.
+            TrainEngine::Sequential(mut e) => {
+                run_schedule(&mut core, &mut e, graph, hooks)?;
+                // Out of core, materialise the final embeddings from the
+                // slot pool and spill store; until here `core.emb` is a
+                // placeholder.
                 e.sync_core(&mut core)?;
             }
+            TrainEngine::Sharded(launch) => launch.run(&mut core, graph, hooks)?,
         }
         core.into_outcome()
     }
@@ -299,8 +316,8 @@ impl Trainer {
     /// a no-op once every epoch has run.
     ///
     /// # Errors
-    /// [`CoreError::Config`] unless the sequential engine was selected;
-    /// otherwise propagates substrate failures.
+    /// [`CoreError::Config`] on the sharded engine; otherwise propagates
+    /// substrate failures.
     pub fn train_in_place(
         &mut self,
         graph: &Graph,
@@ -310,11 +327,12 @@ impl Trainer {
         run_schedule(&mut self.core, engine, graph, hooks)
     }
 
-    /// Evaluates `|L_Nov|` under an arbitrary weight mode (Fig. 2 harness).
+    /// Evaluates `|L_Nov|` under an arbitrary weight mode (Fig. 2
+    /// harness), averaged over `batches` fresh batches.
     ///
     /// # Errors
-    /// [`CoreError::Config`] unless the sequential engine was selected;
-    /// otherwise propagates sampling failures.
+    /// [`CoreError::Config`] on the sharded engine; otherwise propagates
+    /// sampling and spill failures.
     pub fn loss_under_weight_mode(
         &mut self,
         graph: &Graph,
@@ -322,25 +340,9 @@ impl Trainer {
         batches: usize,
     ) -> Result<f64, CoreError> {
         let engine = sequential(&mut self.engine, "loss_under_weight_mode")?;
-        let noise_std = gradient_noise_std(&self.core.cfg);
         let mut total = 0.0;
         for _ in 0..batches.max(1) {
-            let (pos, signs) = engine
-                .provider
-                .positives_with_signs(graph, &mut engine.rng)?;
-            let negs = engine.provider.negatives(&pos, &mut engine.rng);
-            total += novel_loss_batch(
-                self.core.kind,
-                mode,
-                &self.core.emb,
-                &self.core.gens,
-                &pos,
-                &signs,
-                &negs,
-                noise_std,
-                &mut engine.rng,
-            )
-            .abs();
+            total += engine.replay_loss(&mut self.core, graph, mode)?;
         }
         Ok(total / batches.max(1) as f64)
     }
@@ -355,18 +357,18 @@ impl Trainer {
 }
 
 /// The sequential engine, which alone keeps its provider and RNG between
-/// calls; `op` names the caller in the error for any other engine.
+/// calls; `op` names the caller in the error for the sharded engine.
 fn sequential<'e>(
     engine: &'e mut TrainEngine,
     op: &str,
-) -> Result<&'e mut SequentialEngine, CoreError> {
+) -> Result<&'e mut PartitionedEngine, CoreError> {
     match engine {
         TrainEngine::Sequential(e) => Ok(e),
-        _ => Err(CoreError::Config {
+        TrainEngine::Sharded(_) => Err(CoreError::Config {
             field: "engine",
             reason: format!(
                 "{op} needs the sequential engine: one thread (with_threads(1)) \
-                 and no partitions"
+                 or partitions >= 1"
             ),
         }),
     }
@@ -439,25 +441,23 @@ mod tests {
     #[test]
     fn selection_follows_the_engine_table() {
         use Selection::*;
-        let (seq, sh, part) = (
-            Some(EngineKind::Sequential),
-            Some(EngineKind::Sharded),
-            Some(EngineKind::Partitioned),
-        );
+        let (seq, sh) = (Some(EngineKind::Sequential), Some(EngineKind::Sharded));
         // Fresh runs: partitions first, then the resolved width.
-        assert_eq!(select_engine(0, 1, None).unwrap(), Sequential);
+        assert_eq!(
+            select_engine(0, 1, None).unwrap(),
+            Sequential { partitions: 0 }
+        );
         assert_eq!(select_engine(0, 4, None).unwrap(), Sharded { threads: 4 });
         assert_eq!(
             select_engine(3, 4, None).unwrap(),
-            Partitioned { partitions: 3 }
+            Sequential { partitions: 3 }
         );
-        // Sequential-trajectory checkpoints: residency as asked, never
-        // re-resolved from the pinned width.
-        for kind in [seq, part] {
-            assert_eq!(select_engine(0, 4, kind).unwrap(), Sequential);
+        // Sequential checkpoints: residency as asked, never re-resolved
+        // from the pinned width.
+        for p in [0, 2] {
             assert_eq!(
-                select_engine(2, 4, kind).unwrap(),
-                Partitioned { partitions: 2 }
+                select_engine(p, 4, seq).unwrap(),
+                Sequential { partitions: p }
             );
         }
         // Sharded checkpoints: in RAM at the pinned width, or refused.
@@ -585,31 +585,90 @@ mod tests {
 
     #[test]
     fn in_place_calls_are_typed_errors_off_the_sequential_engine() {
+        // The sequential engine runs them at every residency; only the
+        // sharded engine refuses them.
         let g = small_graph();
         let cfg = AdvSgmConfig::test_small(ModelVariant::AdvSgm);
-        for (threads, partitions) in [(4usize, 0usize), (1, 2)] {
-            let mut t = Trainer::new(&g, cfg.clone().with_threads(threads), partitions).unwrap();
-            let err = t.train_in_place(&g, &mut NoHooks).unwrap_err();
-            assert!(matches!(
-                err,
-                CoreError::Config {
-                    field: "engine",
-                    ..
-                }
-            ));
-            let err = t
-                .loss_under_weight_mode(&g, WeightMode::InverseS, 1)
-                .unwrap_err();
-            assert!(matches!(
-                err,
-                CoreError::Config {
-                    field: "engine",
-                    ..
-                }
-            ));
-            // The refused calls consumed nothing: the trainer still runs.
-            assert!(t.train(&g).unwrap().disc_updates > 0);
+        // Out of core, train-then-evaluate is the in-RAM run bit for bit.
+        let in_place = |partitions: usize| {
+            let mut t = Trainer::new(&g, cfg.clone().with_threads(1), partitions).unwrap();
+            t.train_in_place(&g, &mut NoHooks).unwrap();
+            let loss = t
+                .loss_under_weight_mode(&g, WeightMode::Fixed(0.5), 2)
+                .unwrap();
+            (loss.to_bits(), bits(&t.train(&g).unwrap().node_vectors))
+        };
+        assert_eq!(in_place(2), in_place(0));
+
+        let mut t = Trainer::new(&g, cfg.clone().with_threads(4), 0).unwrap();
+        let err = t.train_in_place(&g, &mut NoHooks).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::Config {
+                field: "engine",
+                ..
+            }
+        ));
+        let err = t
+            .loss_under_weight_mode(&g, WeightMode::InverseS, 1)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::Config {
+                field: "engine",
+                ..
+            }
+        ));
+        // The refused calls consumed nothing: the trainer still runs.
+        assert!(t.train(&g).unwrap().disc_updates > 0);
+    }
+
+    #[test]
+    fn more_partitions_than_nodes_are_refused_on_new_and_resume() {
+        let g = karate_club();
+        let cfg = seq_cfg(ModelVariant::Sgm);
+        let n = g.num_nodes();
+        assert_eq!(Trainer::new(&g, cfg.clone(), n).unwrap().partitions(), n);
+        for partitions in [n + 1, 4_000_000_000] {
+            let err = Trainer::new(&g, cfg.clone(), partitions).err().unwrap();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::Config {
+                        field: "partitions",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
         }
+
+        // Resume refuses the same counts.
+        struct Capture(Option<CheckpointState>);
+        impl TrainHooks for Capture {
+            fn wants_checkpoint(&mut self, _: usize) -> bool {
+                self.0.is_none()
+            }
+            fn on_checkpoint(&mut self, state: &CheckpointState) -> SessionControl {
+                self.0 = Some(state.clone());
+                SessionControl::Stop
+            }
+        }
+        let mut hook = Capture(None);
+        Trainer::new(&g, cfg, 0)
+            .unwrap()
+            .train_with_hooks(&g, &mut hook)
+            .unwrap();
+        let state = hook.0.expect("checkpoint captured");
+        assert_eq!(Trainer::resume(&g, &state, n).unwrap().partitions(), n);
+        let err = Trainer::resume(&g, &state, n + 1).err().unwrap();
+        assert!(matches!(
+            err,
+            CoreError::Config {
+                field: "partitions",
+                ..
+            }
+        ));
     }
 
     #[test]

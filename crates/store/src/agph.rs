@@ -4,7 +4,7 @@
 //! reference implementation. `.agph` is the disk-resident input of the
 //! out-of-core training path (DESIGN.md §14): the edge set is stored in
 //! `P` *sections*, one per node bucket of
-//! [`advsgm_graph::buckets::NodeBuckets`], so the partitioned engine can
+//! [`advsgm_graph::buckets::NodeBuckets`], so out-of-core training can
 //! map one bucket's edges at a time instead of materialising the whole
 //! edge list. Summary (all integers little-endian):
 //!

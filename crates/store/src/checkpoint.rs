@@ -51,16 +51,16 @@ fn engine_code(kind: EngineKind) -> u8 {
     match kind {
         EngineKind::Sequential => 0,
         EngineKind::Sharded => 1,
-        EngineKind::Partitioned => 2,
     }
 }
 
-/// Inverse of [`engine_code`]; unknown codes are a corruption error.
+/// Inverse of [`engine_code`]; unknown codes are a corruption error. Code
+/// 2 (an out-of-core capture from before the sequential trajectory had a
+/// single engine) holds the same state as code 0 and reads as it.
 fn engine_from_code(code: u8) -> Result<EngineKind, StoreError> {
     Ok(match code {
-        0 => EngineKind::Sequential,
+        0 | 2 => EngineKind::Sequential,
         1 => EngineKind::Sharded,
-        2 => EngineKind::Partitioned,
         other => {
             return Err(StoreError::Corrupted {
                 reason: format!("unknown engine code {other}"),
@@ -689,13 +689,14 @@ mod tests {
 
     #[test]
     fn engine_codes_roundtrip() {
-        for k in [
-            EngineKind::Sequential,
-            EngineKind::Sharded,
-            EngineKind::Partitioned,
-        ] {
+        for k in [EngineKind::Sequential, EngineKind::Sharded] {
             assert_eq!(engine_from_code(engine_code(k)).unwrap(), k);
         }
-        assert!(engine_from_code(7).is_err());
+        // Writers emit 0 or 1 only; an older out-of-core capture's code 2
+        // still decodes, as the sequential trajectory it recorded.
+        assert_eq!(engine_from_code(2).unwrap(), EngineKind::Sequential);
+        for unknown in [3, 7, u8::MAX] {
+            assert!(engine_from_code(unknown).is_err(), "code {unknown}");
+        }
     }
 }

@@ -37,9 +37,9 @@ use crate::api::types::{Delta, Dim, Epsilon, NoiseSigma};
 #[derive(Debug, Clone)]
 pub struct PipelineBuilder {
     cfg: AdvSgmConfig,
-    /// `0` selects the in-RAM engines (sequential/sharded by thread
-    /// count); `>= 1` selects the out-of-core partitioned engine with
-    /// this many node buckets. Deliberately *not* part of
+    /// `0` trains in RAM (sequential/sharded by thread count); `>= 1`
+    /// trains the sequential engine out of core with this many node
+    /// buckets. Deliberately *not* part of
     /// [`AdvSgmConfig`]: the trajectory is partition-invariant, so the
     /// bucket count is an execution-resource choice, never pinned into
     /// checkpoints or release metadata.
@@ -198,12 +198,12 @@ impl PipelineBuilder {
         self
     }
 
-    /// Selects the out-of-core partitioned engine with `partitions` node
-    /// buckets: embeddings live on disk and at most two bucket
-    /// partitions are resident at once, while the trajectory (released
-    /// bytes, losses, privacy spend) stays bitwise-identical to the
-    /// in-RAM engines (`tests/ooc_equivalence.rs`). `0` (the default)
-    /// keeps the in-RAM engine selection by thread count.
+    /// Trains out of core with `partitions` node buckets (at most the
+    /// graph's node count): embeddings live on disk and at most two
+    /// bucket partitions are resident at once, while the trajectory
+    /// (released bytes, losses, privacy spend) stays bitwise-identical to
+    /// the in-RAM sequential run (`tests/ooc_equivalence.rs`). `0` (the
+    /// default) keeps the in-RAM engine selection by thread count.
     #[must_use]
     pub fn partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions;
@@ -241,7 +241,7 @@ impl PipelineBuilder {
 
     /// Validates the assembled configuration — the builder's single
     /// [`AdvSgmConfig::validate`] call — and stands up a [`Pipeline`]
-    /// with the engine auto-selected: the out-of-core partitioned engine
+    /// with the engine auto-selected: the sequential engine out of core
     /// when [`PipelineBuilder::partitions`] is `>= 1`, otherwise the
     /// in-RAM engine for [`AdvSgmConfig::effective_threads`].
     ///

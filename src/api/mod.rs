@@ -23,7 +23,7 @@
 //!   past the builder.
 //! * **Callers never name an engine.** [`Pipeline::train`] selects the
 //!   sequential or sharded engine from the resolved thread count — or
-//!   the out-of-core partitioned engine when the builder asked for node
+//!   the sequential engine out of core when the builder asked for node
 //!   buckets ([`PipelineBuilder::partitions`]) — and the run is
 //!   bitwise-identical to the equivalent hand-wired engine
 //!   (`tests/api_facade.rs`, `tests/ooc_equivalence.rs`).

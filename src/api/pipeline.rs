@@ -197,7 +197,7 @@ type Observer<'g> = Box<dyn FnMut(PipelineEvent<'_>) + 'g>;
 /// [`Pipeline::train`].
 ///
 /// The engine is selected at construction by [`Trainer`]'s one rule:
-/// the out-of-core partitioned engine when the builder asked for node
+/// the sequential engine out of core when the builder asked for node
 /// buckets ([`PipelineBuilder::partitions`]), otherwise sequential vs
 /// sharded from [`AdvSgmConfig::effective_threads`]. A `Pipeline` run is
 /// bitwise-identical to the equivalent hand-wired [`Trainer`] run

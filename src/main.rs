@@ -40,8 +40,9 @@
 //! `convert` writes a graph out as a partitioned `.agph` file
 //! (`docs/FORMAT.md`), the disk-resident input of the out-of-core
 //! training path: `train --graph g.agph --partitions P` runs the
-//! partitioned engine, which keeps at most two embedding partitions in
-//! memory while producing bitwise-identical releases (DESIGN.md §14).
+//! sequential engine out of core, keeping at most two embedding
+//! partitions in memory while producing bitwise-identical releases
+//! (DESIGN.md §14).
 //!
 //! Argument parsing is hand-rolled like `advsgm-bench`'s: a handful of
 //! subcommands and a score of flags do not justify a CLI dependency
@@ -103,12 +104,13 @@ train flags:
   --graph FILE          load the training graph from FILE: .agph files go
                         through the verified partitioned codec, anything
                         else is parsed as a whitespace edge-list
-  --partitions P        train out of core with P node buckets: embeddings
-                        live on disk and at most two bucket partitions are
-                        resident at once, bitwise-identical to the in-RAM
-                        engines; 0 (the default) trains in RAM. With
-                        --resume it sets the residency of a sequential or
-                        out-of-core checkpoint (any P continues its
+  --partitions P        train out of core with P node buckets (at most the
+                        node count): embeddings live on disk and at most
+                        two bucket partitions are resident at once,
+                        bitwise-identical to the in-RAM sequential run;
+                        0 (the default) trains in RAM and never touches
+                        disk. With --resume it sets the residency of a
+                        sequential checkpoint (any P continues its
                         trajectory exactly); a sharded checkpoint resumes
                         only in RAM and refuses P > 0
   --checkpoint-every N  write a resumable .actk checkpoint every N epochs
@@ -1627,6 +1629,30 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("cannot resume checkpoint"), "{err}");
         assert!(err.contains("sharded"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn partitions_above_the_node_count_are_refused_typed() {
+        let dir = std::env::temp_dir().join(format!("advsgm_cli_big_p_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let edges = dir.join("ring.edges").display().to_string();
+        std::fs::write(&edges, "0 1\n1 2\n2 3\n3 0\n").unwrap();
+        let out = dir.join("ring.aemb").display().to_string();
+        let train = |p: u64| {
+            cmd_train(
+                parse_train(&toks(&format!(
+                    "--out {out} --graph {edges} --epochs 1 --threads 1 --partitions {p}"
+                )))
+                .unwrap(),
+            )
+        };
+        train(4).unwrap();
+        for p in [5, 4_000_000_000] {
+            let err = train(p).unwrap_err();
+            assert!(err.contains("partitions"), "{err}");
+            assert!(err.contains("4 nodes"), "{err}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

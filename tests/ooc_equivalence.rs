@@ -3,14 +3,14 @@
 //! released `.aemb` bytes, the epoch losses, and the accountant's spend
 //! — for `P ∈ {1, 2, 4}` node buckets at 1 and 4 worker threads, while
 //! resident embedding memory stays bounded by two bucket partitions
-//! (slot-pool high-water mark ≤ 2). Checkpoints taken by the partitioned
-//! engine resume bitwise-exactly through the `.actk` wire format, under
-//! a *different* partition count than they were captured with — and,
-//! because sequential and partitioned checkpoints record the same
-//! trajectory, on the other engine as well.
+//! (slot-pool high-water mark ≤ 2). One engine trains both residencies,
+//! so checkpoints taken out of core resume bitwise-exactly through the
+//! `.actk` wire format under a *different* partition count than they
+//! were captured with, in RAM included — and so do `.actk` files whose
+//! older writers marked out-of-core captures with engine code 2.
 
 use advsgm::api::{ModelVariant as ApiVariant, PipelineBuilder};
-use advsgm::core::session::{CheckpointState, EpochEvent, SessionControl, TrainHooks};
+use advsgm::core::session::{CheckpointState, EngineKind, EpochEvent, SessionControl, TrainHooks};
 use advsgm::core::{AdvSgmConfig, ModelVariant, TrainOutcome, Trainer};
 use advsgm::graph::generators::classic::karate_club;
 use advsgm::store::{decode_checkpoint, encode_checkpoint};
@@ -299,9 +299,9 @@ fn assert_same_release(full: &TrainOutcome, got: &TrainOutcome, tag: &str) {
     );
 }
 
-/// Sequential and partitioned checkpoints hold the same state, so each
-/// resumes on the other engine: a sequential checkpoint at `P = 3`, and a
-/// partitioned checkpoint captured at four threads back in RAM with
+/// In-RAM and out-of-core checkpoints hold the same state, so each
+/// resumes at the other residency: an in-RAM checkpoint at `P = 3`, and
+/// an out-of-core checkpoint captured at four threads back in RAM with
 /// `partitions = 0`. The second case must run sequentially — resolving
 /// the engine afresh from the pinned `num_threads = 4` would pick the
 /// sharded engine and leave the sequential trajectory.
@@ -332,6 +332,36 @@ fn sequential_and_partitioned_checkpoints_resume_across_engines() {
             assert_eq!(trainer.partitions(), to_p, "{tag}: residency");
             assert_same_release(&full, &trainer.train(&g).unwrap(), &tag);
         }
+    }
+}
+
+/// Older writers marked out-of-core checkpoints with engine code 2.
+/// Writers now emit 0 at every residency, and a code-2 file still
+/// decodes as the sequential trajectory and resumes bitwise-exactly, in
+/// RAM and out of core.
+#[test]
+fn code_2_checkpoints_still_decode_and_resume() {
+    let g = karate_club();
+    let full = Trainer::fit(&g, test_cfg(1)).unwrap();
+    let mut hook = InterruptAt { at: 2, taken: None };
+    Trainer::new(&g, test_cfg(1), 2)
+        .unwrap()
+        .train_with_hooks(&g, &mut hook)
+        .unwrap();
+    let mut wire = encode_checkpoint(&hook.taken.expect("checkpoint captured")).unwrap();
+    assert_eq!(wire[8], 0, "every residency writes engine code 0");
+    wire[8] = 2;
+    let end = wire.len() - 4;
+    let sum = advsgm::store::format::crc32(&wire[..end]);
+    wire[end..].copy_from_slice(&sum.to_le_bytes());
+    let restored = decode_checkpoint(&wire).unwrap();
+    assert_eq!(restored.engine, EngineKind::Sequential);
+    for p in [0usize, 3] {
+        let resumed = Trainer::resume(&g, &restored, p)
+            .unwrap()
+            .train(&g)
+            .unwrap();
+        assert_same_release(&full, &resumed, &format!("code 2 resumed at P={p}"));
     }
 }
 
