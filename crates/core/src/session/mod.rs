@@ -10,7 +10,7 @@
 //! *execution* of each step is delegated to an
 //! `Engine` strategy with exactly two implementations, one per trajectory:
 //!
-//! * `partitioned::PartitionedEngine` — the sequential trajectory: one
+//! * `partitioned::SequentialEngine` — the sequential trajectory: one
 //!   interleaved RNG stream in program order. Its partition count picks
 //!   the residency: `P = 0` trains `core.emb` in place, `P >= 1` swaps
 //!   embedding partitions through a two-slot pool spilled to disk
@@ -512,7 +512,7 @@ pub(crate) struct EngineStreams {
 /// The execution strategy behind the one Algorithm-3 schedule.
 ///
 /// Exactly two implementations exist —
-/// [`partitioned::PartitionedEngine`] (the sequential trajectory) and
+/// [`partitioned::SequentialEngine`] (the sequential trajectory) and
 /// [`sharded::ShardedEngine`] — and [`run_schedule`] is their only
 /// driver. An engine executes *steps*; it never sees the epoch
 /// structure, iteration counts, accounting, or stopping rule.

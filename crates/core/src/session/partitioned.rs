@@ -26,18 +26,15 @@
 //!    Embedding *reads* consume no randomness, so deferring them cannot
 //!    shift a draw.
 //! 2. **Phase B (compute)** — each item's *pure* result is computed from
-//!    the rows it reads. Out of core the items are grouped by the bucket
-//!    pair they touch (a `BTreeMap` keyed by `(bucket(i), bucket(j))`,
-//!    i.e. the row-major bucket-pair schedule with empty pairs skipped)
-//!    and each group acquires its two slots once; the results are
-//!    chunk-invariant, so a thread pool may compute them. In RAM every
-//!    row is resident and there is nothing to group.
+//!    the rows it reads. The items are grouped by the bucket pair they
+//!    touch (sorted by `(bucket(i), bucket(j))`, i.e. the row-major
+//!    bucket-pair schedule with empty pairs skipped) and each group
+//!    acquires its two slots once; the results are chunk-invariant,
+//!    so a thread pool may compute them. In RAM every node is in bucket 0,
+//!    so a step is one group whose acquisition is a no-op.
 //! 3. **Phase C (fold)** — the floating-point accumulations (per-row
 //!    gradient sums, the loss fold) take the per-item results in original
-//!    batch order, whatever the grouping; in RAM each result is folded as
-//!    soon as it is computed. The generator step, which needs no
-//!    batch-wide draw, goes further in RAM and folds each sample as soon
-//!    as it is drawn.
+//!    batch order, whatever the grouping.
 //!
 //! All embedding reads in a step see the pre-update state, and the final
 //! apply updates each touched row exactly once with identical arithmetic
@@ -50,7 +47,7 @@
 //! out-of-core residency is bounding *embedding* residency; see
 //! DESIGN.md §14.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -361,6 +358,14 @@ enum Residency {
 }
 
 impl Residency {
+    /// The bucket holding `node`'s rows; in RAM every node is in bucket 0.
+    fn bucket_of(&self, node: usize) -> usize {
+        match self {
+            Residency::InRam => 0,
+            Residency::Spilled(parts) => parts.buckets.bucket_of(node),
+        }
+    }
+
     /// Makes `bucket` of `role` readable and writable; a no-op in RAM.
     fn acquire(&mut self, role: Role, bucket: usize) -> Result<(), CoreError> {
         match self {
@@ -433,7 +438,7 @@ fn generator_upstream(kind: SigmoidKind, v: &[f64], fake: &[f64], noise: &[f64])
 
 /// The sequential trajectory's engine at every residency (module docs
 /// have the phase structure and determinism argument).
-pub(crate) struct PartitionedEngine {
+pub(crate) struct SequentialEngine {
     /// Algorithm-2 batch provisioning.
     provider: BatchProvider,
     /// The one RNG stream: init-stream continuation, interleaving
@@ -443,16 +448,13 @@ pub(crate) struct PartitionedEngine {
     /// `next_batch` calls of one discriminator iteration (both batches are
     /// drawn together so the RNG order matches `sample_disc_iteration`).
     pending_neg: Option<DiscBatch>,
-    /// `P` node buckets out of core; in RAM one bucket spanning every
-    /// node, whose acquisition is a no-op.
-    buckets: NodeBuckets,
     residency: Residency,
     /// Worker pool for Phase-B computation; `None` runs serially.
     pool: Option<ThreadPool>,
     threads: usize,
 }
 
-impl PartitionedEngine {
+impl SequentialEngine {
     /// Wraps the provider and the post-init (or restored) RNG stream.
     /// `partitions = 0` trains `core.emb` in place on one thread;
     /// `partitions >= 1` steals it into the slot pool (leaving an empty
@@ -464,10 +466,10 @@ impl PartitionedEngine {
         partitions: usize,
         stats: Arc<SlotPoolStats>,
     ) -> Result<Self, CoreError> {
-        let buckets = NodeBuckets::new(core.emb.num_nodes(), partitions.max(1))?;
         let (residency, threads) = if partitions == 0 {
             (Residency::InRam, 1)
         } else {
+            let buckets = NodeBuckets::new(core.emb.num_nodes(), partitions)?;
             let emb = std::mem::replace(&mut core.emb, empty_embeddings());
             let parts = PartitionedEmbeddings::new(emb, buckets, stats)?;
             (
@@ -480,7 +482,6 @@ impl PartitionedEngine {
             provider,
             rng,
             pending_neg: None,
-            buckets,
             residency,
             pool,
             threads,
@@ -489,9 +490,9 @@ impl PartitionedEngine {
 
     /// The number of node buckets `P`; 0 in RAM.
     pub(crate) fn partitions(&self) -> usize {
-        match self.residency {
+        match &self.residency {
             Residency::InRam => 0,
-            Residency::Spilled(_) => self.buckets.count(),
+            Residency::Spilled(parts) => parts.buckets.count(),
         }
     }
 
@@ -505,35 +506,37 @@ impl PartitionedEngine {
         }
     }
 
-    /// Phases B and C of a step over items `0..count`. In RAM every row
-    /// is resident, so each item is computed and folded in turn. Out of
-    /// core the items are grouped by the buckets `key` names, in ascending
-    /// key order (the row-major bucket schedule with empty groups
-    /// skipped); per group, `acquire` makes the buckets resident and `f`
-    /// computes each item's pure result from the resident rows, on the
-    /// pool when there is one. Either way `fold` receives every result in
-    /// ascending item order, the step's fixed floating-point association;
-    /// a result waits only while an earlier item is missing.
-    fn compute_in_order<K: Ord, R: Send>(
+    /// Phases B and C of a step over items `0..count`, where item `idx`
+    /// reads the `W_in` and `W_out` rows of the nodes `reads(idx)` names.
+    /// The items are grouped by those rows' buckets, in ascending bucket
+    /// order (the row-major bucket schedule with empty groups skipped);
+    /// per group the buckets are acquired and `f` computes each item's
+    /// pure result from the resident rows, on the pool when there is one.
+    /// `fold` receives every result in ascending item order, the step's
+    /// fixed floating-point association; a result waits only while an
+    /// earlier item is missing.
+    fn compute_in_order<R: Send>(
         &mut self,
         emb: &Embeddings,
         count: usize,
-        key: impl Fn(usize) -> K,
-        acquire: impl Fn(&mut Residency, &K) -> Result<(), CoreError>,
+        reads: impl Fn(usize) -> (Option<usize>, Option<usize>),
         f: impl Fn(Rows<'_>, usize) -> R + Sync,
         mut fold: impl FnMut(usize, R),
     ) -> Result<(), CoreError> {
-        if let Residency::InRam = self.residency {
-            let rows = self.residency.rows(emb);
-            for idx in 0..count {
-                fold(idx, f(rows, idx));
-            }
-            return Ok(());
-        }
-        let mut groups: BTreeMap<K, Vec<usize>> = BTreeMap::new();
-        for idx in 0..count {
-            groups.entry(key(idx)).or_default().push(idx);
-        }
+        // Items sorted by the buckets they read, then by index: the
+        // row-major bucket schedule, ascending items within each group.
+        let res = &self.residency;
+        let mut order: Vec<_> = (0..count)
+            .map(|idx| {
+                let (input, output) = reads(idx);
+                let key = (
+                    input.map(|n| res.bucket_of(n)),
+                    output.map(|n| res.bucket_of(n)),
+                );
+                (key, idx)
+            })
+            .collect();
+        order.sort_unstable();
         let mut pending: Vec<Option<R>> = (0..count).map(|_| None).collect();
         let mut next = 0;
         let mut sink = |idx: usize, r: R| {
@@ -543,23 +546,32 @@ impl PartitionedEngine {
                 next += 1;
             }
         };
-        for (key, idxs) in &groups {
-            acquire(&mut self.residency, key)?;
+        for group in order.chunk_by(|a, b| a.0 == b.0) {
+            let (input, output) = group[0].0;
+            if let Some(bucket) = input {
+                self.residency.acquire(Role::In, bucket)?;
+            }
+            if let Some(bucket) = output {
+                self.residency.acquire(Role::Out, bucket)?;
+            }
             let rows = self.residency.rows(emb);
             match &mut self.pool {
                 Some(pool) => {
                     // Results are independent of the chunking, so the
                     // thread count cannot change them.
-                    let chunk_len = idxs.len().div_ceil(pool.threads()).max(1);
-                    let chunks = pool.map_chunks(idxs, chunk_len, |_k, _offset, chunk| {
-                        chunk.iter().map(|&idx| f(rows, idx)).collect::<Vec<R>>()
+                    let chunk_len = group.len().div_ceil(pool.threads()).max(1);
+                    let chunks = pool.map_chunks(group, chunk_len, |_k, _offset, chunk| {
+                        chunk
+                            .iter()
+                            .map(|&(_, idx)| f(rows, idx))
+                            .collect::<Vec<R>>()
                     });
-                    for (&idx, r) in idxs.iter().zip(chunks.into_iter().flatten()) {
+                    for (&(_, idx), r) in group.iter().zip(chunks.into_iter().flatten()) {
                         sink(idx, r);
                     }
                 }
                 None => {
-                    for &idx in idxs {
+                    for &(_, idx) in group {
                         sink(idx, f(rows, idx));
                     }
                 }
@@ -581,8 +593,6 @@ impl PartitionedEngine {
         self.reclaim(core);
         let (pos, pos_signs) = self.provider.positives_with_signs(graph, &mut self.rng)?;
         let negs = self.provider.negatives(&pos, &mut self.rng);
-        // Same panic point as `novel_loss_batch`, before any draw.
-        assert!(!pos.is_empty(), "need at least one positive pair");
         let r = core.cfg.dim;
         let noise_std = gradient_noise_std(&core.cfg);
         let n1 = gaussian_vec(&mut self.rng, noise_std.max(0.0), r);
@@ -598,20 +608,11 @@ impl PartitionedEngine {
 
         // Phases B and C: per-pair scalar terms grouped by bucket pair,
         // collected in batch order for the order-fixed fold.
-        let b = self.buckets;
-        let both = |res: &mut Residency, &(bu, bv): &(usize, usize)| {
-            res.acquire(Role::In, bu)?;
-            res.acquire(Role::Out, bv)
-        };
         let mut terms: Vec<PositiveTerms> = Vec::with_capacity(pos.len());
         self.compute_in_order(
             &core.emb,
             pos.len(),
-            |idx| {
-                let e = &pos[idx];
-                (b.bucket_of(e.u().index()), b.bucket_of(e.v().index()))
-            },
-            both,
+            |idx| (Some(pos[idx].u().index()), Some(pos[idx].v().index())),
             |rows, idx| {
                 let e = &pos[idx];
                 positive_terms(
@@ -631,13 +632,11 @@ impl PartitionedEngine {
             &core.emb,
             negs.len(),
             |idx| {
-                let p = &negs[idx];
                 (
-                    b.bucket_of(p.source.index()),
-                    b.bucket_of(p.negative.index()),
+                    Some(negs[idx].source.index()),
+                    Some(negs[idx].negative.index()),
                 )
             },
-            both,
             |rows, idx| {
                 let p = &negs[idx];
                 negative_dot(
@@ -651,7 +650,7 @@ impl PartitionedEngine {
     }
 }
 
-impl Engine for PartitionedEngine {
+impl Engine for SequentialEngine {
     fn kind(&self) -> EngineKind {
         EngineKind::Sequential
     }
@@ -717,7 +716,6 @@ impl Engine for PartitionedEngine {
         // Phase B: each pair's clipped gradients (pure, RNG-free), per
         // bucket pair; Phase C: per-row sums in original pair order — the
         // load-bearing floating-point association.
-        let b = self.buckets;
         let kind = core.kind;
         let mut acc_in: RowAcc = HashMap::new();
         let mut acc_out: RowAcc = HashMap::new();
@@ -726,11 +724,7 @@ impl Engine for PartitionedEngine {
             count,
             |idx| {
                 let (i, j) = batch.pairs[idx];
-                (b.bucket_of(i), b.bucket_of(j))
-            },
-            |res, &(bi, bj)| {
-                res.acquire(Role::In, bi)?;
-                res.acquire(Role::Out, bj)
+                (Some(i), Some(j))
             },
             |rows, idx| {
                 let (i, j) = batch.pairs[idx];
@@ -767,7 +761,7 @@ impl Engine for PartitionedEngine {
         for (role, acc, noise) in [(Role::In, acc_in, &n_in), (Role::Out, acc_out, &n_out)] {
             let (residency, emb) = (&mut self.residency, &mut core.emb);
             apply_noisy_updates(acc, noise, |node, g| {
-                residency.acquire(role, b.bucket_of(node))?;
+                residency.acquire(role, residency.bucket_of(node))?;
                 residency.step(emb, role, node, eta, g, project);
                 Ok(())
             })?;
@@ -794,14 +788,10 @@ impl Engine for PartitionedEngine {
 
         // Phase A. `f1` fakes a neighbor of the output-side node t (paired
         // with the real v_i), `f2` one of the input-side node s (with v_j).
-        // In RAM every row is resident, so each sample runs Phases B and C
-        // as soon as it is drawn and nothing is buffered; out of core the
-        // whole batch is drawn first.
-        let in_ram = matches!(self.residency, Residency::InRam);
         let edges = graph.edges();
-        let mut ends: Vec<(usize, usize)> = Vec::new();
-        let mut f1s: Vec<FakeNeighbor> = Vec::new();
-        let mut f2s: Vec<FakeNeighbor> = Vec::new();
+        let mut ends: Vec<(usize, usize)> = Vec::with_capacity(sample_count);
+        let mut f1s: Vec<FakeNeighbor> = Vec::with_capacity(sample_count);
+        let mut f2s: Vec<FakeNeighbor> = Vec::with_capacity(sample_count);
         for _ in 0..sample_count {
             let e = edges[self.rng.gen_range(0..edges.len())];
             // Random orientation, matching the discriminator's convention.
@@ -812,27 +802,18 @@ impl Engine for PartitionedEngine {
             };
             let f1 = core.gens.for_i.generate(t, &mut self.rng);
             let f2 = core.gens.for_j.generate(s, &mut self.rng);
-            if in_ram {
-                let up1 = generator_upstream(kind, core.emb.input(s), &f1.v, &ng1);
-                core.gens.for_i.accumulate_grad(&f1, &up1, &mut grads_j);
-                let up2 = generator_upstream(kind, core.emb.output(t), &f2.v, &ng2);
-                core.gens.for_j.accumulate_grad(&f2, &up2, &mut grads_i);
-            } else {
-                ends.push((s, t));
-                f1s.push(f1);
-                f2s.push(f2);
-            }
+            ends.push((s, t));
+            f1s.push(f1);
+            f2s.push(f2);
         }
 
-        // Phases B and C out of core: `up1` reads only W_in[s] and `up2`
-        // only W_out[t], so each generator's gradients come from their own
-        // pass over single-role bucket groups, accumulated in sample order.
-        let b = self.buckets;
+        // Phases B and C: `up1` reads only W_in[s] and `up2` only W_out[t],
+        // so each generator's gradients come from their own pass over
+        // single-role bucket groups, accumulated in sample order.
         self.compute_in_order(
             &core.emb,
             ends.len(),
-            |idx| b.bucket_of(ends[idx].0),
-            |res, &bucket| res.acquire(Role::In, bucket),
+            |idx| (Some(ends[idx].0), None),
             |rows, idx| generator_upstream(kind, rows.input(ends[idx].0), &f1s[idx].v, &ng1),
             |idx, up| {
                 core.gens
@@ -844,8 +825,7 @@ impl Engine for PartitionedEngine {
         self.compute_in_order(
             &core.emb,
             ends.len(),
-            |idx| b.bucket_of(ends[idx].1),
-            |res, &bucket| res.acquire(Role::Out, bucket),
+            |idx| (None, Some(ends[idx].1)),
             |rows, idx| generator_upstream(kind, rows.output(ends[idx].1), &f2s[idx].v, &ng2),
             |idx, up| {
                 core.gens

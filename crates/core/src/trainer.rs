@@ -47,7 +47,7 @@ use rand::rngs::SmallRng;
 use crate::config::AdvSgmConfig;
 use crate::error::CoreError;
 use crate::sampler::BatchProvider;
-use crate::session::partitioned::{PartitionedEngine, SlotPoolStats};
+use crate::session::partitioned::{SequentialEngine, SlotPoolStats};
 use crate::session::sharded::ShardedLaunch;
 use crate::session::{
     run_schedule, CheckpointState, Engine, EngineKind, NoHooks, SessionCore, TrainHooks,
@@ -135,7 +135,7 @@ fn check_partitions(graph: &Graph, partitions: usize) -> Result<(), CoreError> {
 
 /// The engine a [`Trainer`] drives.
 enum TrainEngine {
-    Sequential(PartitionedEngine),
+    Sequential(SequentialEngine),
     Sharded(ShardedLaunch),
 }
 
@@ -207,9 +207,13 @@ impl Trainer {
     ) -> Result<Self, CoreError> {
         let stats = Arc::new(SlotPoolStats::default());
         let engine = match selection {
-            Selection::Sequential { partitions } => TrainEngine::Sequential(
-                PartitionedEngine::new(&mut core, provider, rng, partitions, Arc::clone(&stats))?,
-            ),
+            Selection::Sequential { partitions } => TrainEngine::Sequential(SequentialEngine::new(
+                &mut core,
+                provider,
+                rng,
+                partitions,
+                Arc::clone(&stats),
+            )?),
             // A fresh sharded run drops `rng`: it derives its own streams
             // from the seed and shares only the parameter initialisation.
             Selection::Sharded { threads } => TrainEngine::Sharded(ShardedLaunch {
@@ -361,7 +365,7 @@ impl Trainer {
 fn sequential<'e>(
     engine: &'e mut TrainEngine,
     op: &str,
-) -> Result<&'e mut PartitionedEngine, CoreError> {
+) -> Result<&'e mut SequentialEngine, CoreError> {
     match engine {
         TrainEngine::Sequential(e) => Ok(e),
         TrainEngine::Sharded(_) => Err(CoreError::Config {
